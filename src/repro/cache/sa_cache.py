@@ -75,46 +75,36 @@ class SetAssociativeCache:
             )
         return (address // self.config.block_size) % self.num_sets
 
-    def _slot(self, set_index: int, way: int) -> int:
-        return set_index * self.ways + way
-
-    def _set_lines(self, set_index: int) -> Iterator[Tuple[int, CacheLine]]:
-        base = set_index * self.ways
-        for way in range(self.ways):
-            yield base + way, self._lines[base + way]
-
-    def _find(self, address: int) -> Optional[int]:
-        return self._index.get(address)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def contains(self, address: int) -> bool:
         """Hit check without touching LRU state."""
-        return self._find(address) is not None
+        return self._index.get(address) is not None
 
     def peek(self, address: int) -> Optional[Any]:
         """Payload if resident, else None; does not touch LRU state."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         return self._lines[slot].payload if slot is not None else None
 
     def lookup(self, address: int) -> Optional[Any]:
         """Payload if resident (refreshes LRU), else None."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is None:
             return None
         self._clock += 1
-        self._lines[slot].lru_stamp = self._clock
-        return self._lines[slot].payload
+        line = self._lines[slot]
+        line.lru_stamp = self._clock
+        return line.payload
 
     def slot_of(self, address: int) -> Optional[int]:
         """Fixed slot number of a resident block (None on miss)."""
-        return self._find(address)
+        return self._index.get(address)
 
     def is_dirty(self, address: int) -> bool:
         """True if the block is resident and dirty."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         return slot is not None and self._lines[slot].dirty
 
     # ------------------------------------------------------------------
@@ -130,7 +120,7 @@ class SetAssociativeCache:
         Filling an already-resident address replaces its payload in
         place (no eviction).
         """
-        existing = self._find(address)
+        existing = self._index.get(address)
         if existing is not None:
             line = self._lines[existing]
             line.payload = payload
@@ -139,20 +129,22 @@ class SetAssociativeCache:
             line.lru_stamp = self._clock
             return existing, None
 
-        set_index = self._set_index(address)
-        victim_slot: Optional[int] = None
-        oldest_stamp: Optional[int] = None
-        for slot, line in self._set_lines(set_index):
+        # Victim: the first invalid way, else the lowest LRU stamp.  The
+        # batch engine stamps lines by hand and relies on this rule.
+        lines = self._lines
+        base = self._set_index(address) * self.ways
+        victim_slot = base
+        oldest_stamp = None
+        for slot in range(base, base + self.ways):
+            line = lines[slot]
             if not line.valid:
                 victim_slot = slot
-                oldest_stamp = None
                 break
             if oldest_stamp is None or line.lru_stamp < oldest_stamp:
                 victim_slot = slot
                 oldest_stamp = line.lru_stamp
 
-        assert victim_slot is not None
-        line = self._lines[victim_slot]
+        line = lines[victim_slot]
         eviction = None
         if line.valid:
             eviction = Eviction(
@@ -174,7 +166,7 @@ class SetAssociativeCache:
     def mark_dirty(self, address: int) -> bool:
         """Set the dirty bit; returns True iff this is the *first* time
         the resident block becomes dirty (the AGIT-Plus trigger)."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is None:
             raise ConfigError(
                 f"mark_dirty on non-resident block {address:#x}"
@@ -188,13 +180,13 @@ class SetAssociativeCache:
 
     def clean(self, address: int) -> None:
         """Clear the dirty bit (block was written back)."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is not None:
             self._lines[slot].dirty = False
 
     def invalidate(self, address: int) -> Optional[Eviction]:
         """Drop a block; returns its eviction record if it was resident."""
-        slot = self._find(address)
+        slot = self._index.get(address)
         if slot is None:
             return None
         line = self._lines[slot]

@@ -276,6 +276,7 @@ class BonsaiController(SecureMemoryController):
         chain = [(None, block_bytes)] + fetched
         parent_node = trusted_node
         parent_slot = trusted_slot
+        verified = []  # (TreePath, BonsaiNode), top-down
         for step, raw in reversed(chain):
             self._integrity_checks.add()
             self.channel.hash_latency(1)
@@ -287,15 +288,14 @@ class BonsaiController(SecureMemoryController):
             if step is not None:
                 parent_node = BonsaiNode.from_bytes(raw)
                 parent_slot = step.child_slot
+                verified.append((step, parent_node))
             # the last iteration verified `block_bytes`; nothing below it
 
-        # Insert the now-verified ancestors (top-down so lower nodes are
-        # the most recently used).
-        for step, raw in reversed(fetched):
+        # Insert the now-verified ancestors, parsed once above (top-down
+        # so lower nodes are the most recently used).
+        for step, node in verified:
             if not self.merkle_cache.contains(step.address):
-                slot, eviction = self.merkle_cache.fill(
-                    step.address, BonsaiNode.from_bytes(raw)
-                )
+                slot, eviction = self.merkle_cache.fill(step.address, node)
                 self._on_merkle_filled(slot, step.address)
                 if eviction is not None:
                     self._evictions.append(("merkle", eviction))

@@ -202,51 +202,66 @@ class SgxController(SecureMemoryController):
         """Return the cached node, fetching and MAC-verifying on miss.
 
         Verification needs the parent nonce; if the parent is not
-        cached it is fetched (and verified) recursively — the walk stops
-        at the first cached ancestor or the on-chip root, exactly the
-        §3 procedure.
+        cached it is fetched (and verified) first — the walk stops at
+        the first cached ancestor or the on-chip root, exactly the §3
+        procedure.  The walk is iterative but keeps the order of the
+        natural recursion, step for step: upward, each missing node is
+        accessed, its queued eviction flushed, then the root nonce read
+        or the parent peeked; downward, each node is accessed again
+        before it is read.
+
+        Parent nonces are resolved BEFORE a node's bytes are read: the
+        fetches above it can trigger evictions whose handling fetches
+        and even modifies this very node (as some victim's parent);
+        reading afterwards — and re-checking residency — guarantees we
+        verify and cache the freshest copy instead of clobbering a
+        nonce increment with a stale one.
         """
-        record = self.metadata_cache.access(address)
+        cache = self.metadata_cache
+        layout = self.layout
+        record = cache.access(address)
         if record is not None:
             return record
-        self._flush_pending_eviction(address)
-        level, index = self.layout.locate_node(address)
+        arity = layout.arity
+        top_level = layout.root_level - 1
+        path = []  # (address, level, index) of each missing node, bottom-up
+        while True:
+            self._flush_pending_eviction(address)
+            level, index = layout.locate_node(address)
+            path.append((address, level, index))
+            if level == top_level:
+                parent_nonce = self.engine.root_nonce_for(index)
+                break
+            parent_address = layout.node_address(level + 1, index // arity)
+            parent = cache.peek(parent_address)
+            if parent is not None:
+                parent_nonce = parent.node.counter(index % arity)
+                break
+            address = parent_address
+            cache.access(address)  # a counted miss: peek just found nothing
 
-        # Resolve the parent nonce BEFORE reading this node's bytes: the
-        # recursive parent walk can trigger evictions whose handling
-        # fetches and even modifies this very node (as some victim's
-        # parent); reading afterwards — and re-checking residency —
-        # guarantees we verify and cache the freshest copy instead of
-        # clobbering a nonce increment with a stale one.
-        if level == self.layout.root_level - 1:
-            parent_nonce = self.engine.root_nonce_for(index)
-        else:
-            parent_level, parent_index = self.layout.parent_of(level, index)
-            parent_address = self.layout.node_address(parent_level, parent_index)
-            parent = self.metadata_cache.peek(parent_address)
-            if parent is None:
-                parent = self._get_node(parent_address)
-            parent_nonce = parent.node.counter(self.layout.child_slot(index))
+        for address, level, index in reversed(path):
+            if record is not None:  # the parent this walk just resolved
+                parent_nonce = record.node.counter(index % arity)
+            record = cache.access(address)
+            if record is not None:
+                continue
+            raw, _ = self.read_block(address)
+            self._meta_fetches.add()
+            node = SgxCounterBlock.from_bytes(raw)
 
-        record = self.metadata_cache.access(address)
-        if record is not None:
-            return record
-        raw, _ = self.read_block(address)
-        self._meta_fetches.add()
-        node = SgxCounterBlock.from_bytes(raw)
-
-        self._integrity_checks.add()
-        self.channel.hash_latency(1)
-        if not self.engine.verify(node, parent_nonce):
-            raise IntegrityError(
-                f"SGX node MAC mismatch at {address:#x} (level {level})"
-            )
-        record = CachedNode(node, parent_nonce, level, index)
-        slot, eviction = self.metadata_cache.fill(address, record)
-        self._on_node_filled(slot, address, record)
-        if eviction is not None:
-            self._evictions.append(eviction)
-        self._drain_evictions()
+            self._integrity_checks.add()
+            self.channel.hash_latency(1)
+            if not self.engine.verify(node, parent_nonce):
+                raise IntegrityError(
+                    f"SGX node MAC mismatch at {address:#x} (level {level})"
+                )
+            record = CachedNode(node, parent_nonce, level, index)
+            slot, eviction = cache.fill(address, record)
+            self._on_node_filled(slot, address, record)
+            if eviction is not None:
+                self._evictions.append(eviction)
+            self._drain_evictions()
         return record
 
     # ------------------------------------------------------------------

@@ -16,12 +16,16 @@ from typing import List
 
 from repro.config import BLOCK_SIZE
 from repro.errors import ConfigError
-from repro.util.bitops import extract_bits, insert_bits, mask
+from repro.util.bitops import insert_bits, mask
 
 _COUNTER_BITS = 56
 _COUNTERS_PER_BLOCK = 8
 _MAC_BITS = 56
 _COUNTER_MAX = mask(_COUNTER_BITS)
+_MAC_MAX = mask(_MAC_BITS)
+#: Bit offset of counter *i* in the wire word; the MAC follows them.
+_COUNTER_SHIFTS = tuple(i * _COUNTER_BITS for i in range(_COUNTERS_PER_BLOCK))
+_MAC_SHIFT = _COUNTERS_PER_BLOCK * _COUNTER_BITS
 
 
 class SgxCounterBlock:
@@ -45,7 +49,7 @@ class SgxCounterBlock:
             if not 0 <= counter <= _COUNTER_MAX:
                 raise ConfigError(f"counter {counter} out of 56-bit range")
         self.counters = list(counters)
-        self.mac = mac & mask(_MAC_BITS)
+        self.mac = mac & _MAC_MAX
 
     def counter(self, slot: int) -> int:
         """Read counter ``slot`` (0..7)."""
@@ -93,7 +97,7 @@ class SgxCounterBlock:
         for slot, lsb in enumerate(lsb_values):
             msb_part = self.counters[slot] & ~mask(lsb_bits)
             self.counters[slot] = (msb_part | (lsb & mask(lsb_bits))) & _COUNTER_MAX
-        self.mac = mac & mask(_MAC_BITS)
+        self.mac = mac & _MAC_MAX
 
     # ------------------------------------------------------------------
     # 64B wire format
@@ -115,12 +119,14 @@ class SgxCounterBlock:
         if len(raw) != BLOCK_SIZE:
             raise ConfigError(f"SGX block must be {BLOCK_SIZE} bytes")
         word = int.from_bytes(raw, "little")
-        counters = [
-            extract_bits(word, i * _COUNTER_BITS, _COUNTER_BITS)
-            for i in range(_COUNTERS_PER_BLOCK)
+        # Every field is masked to its width, so the range checks of
+        # ``__init__`` hold by construction; skip them on this hot path.
+        block = cls.__new__(cls)
+        block.counters = [
+            (word >> shift) & _COUNTER_MAX for shift in _COUNTER_SHIFTS
         ]
-        mac = extract_bits(word, _COUNTERS_PER_BLOCK * _COUNTER_BITS, _MAC_BITS)
-        return cls(counters, mac)
+        block.mac = (word >> _MAC_SHIFT) & _MAC_MAX
+        return block
 
     def copy(self) -> "SgxCounterBlock":
         """Deep copy."""

@@ -22,6 +22,11 @@ _MINOR_BITS = 7
 _MAJOR_BITS = 64
 _MINORS_PER_BLOCK = 64
 _MINOR_MAX = mask(_MINOR_BITS)
+_MAJOR_MAX = mask(_MAJOR_BITS)
+#: Bit offset of minor *i* in the 512-bit wire word.
+_MINOR_SHIFTS = tuple(
+    _MAJOR_BITS + i * _MINOR_BITS for i in range(_MINORS_PER_BLOCK)
+)
 
 
 class SplitCounterBlock:
@@ -42,7 +47,7 @@ class SplitCounterBlock:
         for minor in minors:
             if not 0 <= minor <= _MINOR_MAX:
                 raise ConfigError(f"minor counter {minor} out of 7-bit range")
-        self.major = major & mask(_MAJOR_BITS)
+        self.major = major & _MAJOR_MAX
         self.minors = list(minors)
 
     def minor(self, slot: int) -> int:
@@ -58,7 +63,7 @@ class SplitCounterBlock:
         if self.minors[slot] < _MINOR_MAX:
             self.minors[slot] += 1
             return False
-        self.major = (self.major + 1) & mask(_MAJOR_BITS)
+        self.major = (self.major + 1) & _MAJOR_MAX
         self.minors = [0] * _MINORS_PER_BLOCK
         return True
 
@@ -87,13 +92,14 @@ class SplitCounterBlock:
         if len(raw) != BLOCK_SIZE:
             raise ConfigError(f"counter block must be {BLOCK_SIZE} bytes")
         word = int.from_bytes(raw, "little")
-        major = word & mask(_MAJOR_BITS)
-        word >>= _MAJOR_BITS
-        minors = []
-        for _ in range(_MINORS_PER_BLOCK):
-            minors.append(word & _MINOR_MAX)
-            word >>= _MINOR_BITS
-        return cls(major, minors)
+        # Every field is masked to its width, so the range checks of
+        # ``__init__`` hold by construction; skip them on this hot path.
+        block = cls.__new__(cls)
+        block.major = word & _MAJOR_MAX
+        block.minors = [
+            (word >> shift) & _MINOR_MAX for shift in _MINOR_SHIFTS
+        ]
+        return block
 
     def copy(self) -> "SplitCounterBlock":
         """Deep copy (controllers snapshot blocks before mutation)."""

@@ -123,7 +123,8 @@ class BonsaiTreeEngine:
         """NVM default-content hook: untouched tree blocks read as the
         level's default node, so a fresh system verifies end to end."""
         for level, region in enumerate(self.layout.level_regions):
-            if region.contains(address):
+            base = region.base
+            if base <= address < base + region.size:
                 return self._default_bytes[level]
         return bytes(BLOCK_SIZE)
 

@@ -9,15 +9,16 @@ of re-deriving parent arithmetic everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from collections import OrderedDict
+from typing import List, NamedTuple, Optional
 
+from repro.config import BLOCK_SIZE
 from repro.mem.layout import MemoryLayout
 
 
-@dataclass(frozen=True)
-class TreePath:
-    """One node on a leaf-to-root walk."""
+class TreePath(NamedTuple):
+    """One node on a leaf-to-root walk (immutable; cheap to build, as
+    cold paths are built on every counter miss)."""
 
     level: int
     index: int
@@ -39,42 +40,39 @@ def path_to_root(layout: MemoryLayout, leaf_address: int) -> List[TreePath]:
     i >= 1) names where element *i-1* hangs in element *i*.
 
     Paths are static for a given layout, so they are memoized on the
-    layout object (this sits on the per-write hot path).
+    layout object (this sits on the per-write hot path).  The memo holds
+    at most ``_PATH_CACHE_LIMIT`` paths; past that the oldest entry (in
+    insertion order) makes room, so a large footprint never cold-starts
+    the whole memo.
     """
     cache = getattr(layout, "_path_cache", None)
     if cache is None:
-        cache = {}
+        cache = OrderedDict()
         layout._path_cache = cache
     cached = cache.get(leaf_address)
     if cached is not None:
         return cached
     level, index = layout.locate_node(leaf_address)
+    arity = layout.arity
+    root_level = layout.root_level
+    regions = layout.level_regions
+    # The parent of an existing node always exists, so plain arithmetic
+    # replaces the range-checked layout helpers here.
     steps: List[TreePath] = [
-        TreePath(
-            level=level,
-            index=index,
-            address=leaf_address,
-            child_slot=layout.child_slot(index),
-        )
+        TreePath(level, index, leaf_address, index % arity)
     ]
-    while level < layout.root_level:
-        child_index = index
-        level, index = layout.parent_of(level, index)
+    while level < root_level:
+        child_slot = index % arity
+        level += 1
+        index //= arity
         address = (
-            layout.node_address(level, index)
-            if level < layout.root_level
+            regions[level].base + index * BLOCK_SIZE
+            if level < root_level
             else None
         )
-        steps.append(
-            TreePath(
-                level=level,
-                index=index,
-                address=address,
-                child_slot=layout.child_slot(child_index),
-            )
-        )
+        steps.append(TreePath(level, index, address, child_slot))
     if len(cache) >= _PATH_CACHE_LIMIT:
-        cache.clear()
+        cache.popitem(last=False)
     cache[leaf_address] = steps
     return steps
 

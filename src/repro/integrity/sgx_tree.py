@@ -18,12 +18,16 @@ MAC over zeros with a zero parent nonce).
 
 from __future__ import annotations
 
+import struct
+
 from repro.config import BLOCK_SIZE
 from repro.counters.sgx import SgxCounterBlock
 from repro.crypto.hashes import mac56
 from repro.crypto.keys import ProcessorKeys
 from repro.mem.layout import MemoryLayout
 from repro.telemetry.runtime import live_tracer
+
+_MAC_INPUT = struct.Struct("<9Q")
 
 
 class SgxTreeEngine:
@@ -49,12 +53,11 @@ class SgxTreeEngine:
     # ------------------------------------------------------------------
 
     def compute_mac(self, node: SgxCounterBlock, parent_nonce: int) -> int:
-        """MAC over the node's eight nonces and its parent nonce."""
-        payload = bytearray()
-        for counter in node.counters:
-            payload += counter.to_bytes(8, "little")
-        payload += parent_nonce.to_bytes(8, "little")
-        return mac56(self.keys.tree_key, bytes(payload))
+        """MAC over the node's eight nonces and its parent nonce, each a
+        little-endian u64."""
+        return mac56(
+            self.keys.tree_key, _MAC_INPUT.pack(*node.counters, parent_nonce)
+        )
 
     def verify(self, node: SgxCounterBlock, parent_nonce: int) -> bool:
         """Does the node's stored MAC match its nonces + parent nonce?"""
@@ -79,7 +82,8 @@ class SgxTreeEngine:
     def default_provider(self, address: int) -> bytes:
         """NVM default-content hook for tree regions."""
         for region in self.layout.level_regions:
-            if region.contains(address):
+            base = region.base
+            if base <= address < base + region.size:
                 return self._default_bytes
         return bytes(BLOCK_SIZE)
 

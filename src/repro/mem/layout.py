@@ -35,16 +35,20 @@ class Region:
 
     def contains(self, address: int) -> bool:
         """True if ``address`` falls inside the region."""
-        return self.base <= address < self.end
+        # Spelled out rather than through the ``end`` property: range
+        # tests sit on the node-lookup and NVM-default hot paths.
+        base = self.base
+        return base <= address < base + self.size
 
     def block_index(self, address: int) -> int:
         """Index of the 64B block at ``address`` within this region."""
-        if not self.contains(address):
+        base = self.base
+        if not base <= address < base + self.size:
             raise LayoutError(
                 f"address {address:#x} outside region {self.name} "
                 f"[{self.base:#x}, {self.end:#x})"
             )
-        return (address - self.base) // BLOCK_SIZE
+        return (address - base) // BLOCK_SIZE
 
     def block_address(self, index: int) -> int:
         """Byte address of the ``index``-th 64B block of this region."""
@@ -213,8 +217,9 @@ class MemoryLayout:
     def locate_node(self, address: int) -> Tuple[int, int]:
         """Inverse of :meth:`node_address`: ``(level, index)`` of a node."""
         for level, region in enumerate(self.level_regions):
-            if region.contains(address):
-                return level, region.block_index(address)
+            base = region.base
+            if base <= address < base + region.size:
+                return level, (address - base) // BLOCK_SIZE
         raise LayoutError(f"address {address:#x} is not a stored tree node")
 
     def parent_of(self, level: int, index: int) -> Tuple[int, int]:

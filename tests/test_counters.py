@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.counters.sgx import SgxCounterBlock
 from repro.counters.split import SplitCounterBlock
 from repro.errors import ConfigError
+from repro.util.bitops import block_to_int, unpack_fields
 
 
 class TestSplitCounterBasics:
@@ -174,3 +175,42 @@ class TestSgxWire:
         clone = block.copy()
         block.increment(0)
         assert clone.counter(0) == 0
+
+
+class TestFromBytesMatchesReferenceDecode:
+    """The hot-path decoders agree with the generic bit-field unpacker
+    on every 64-byte input, padding bits included."""
+
+    @given(st.binary(min_size=64, max_size=64))
+    def test_split_decode(self, raw):
+        fields = unpack_fields(block_to_int(raw), [64] + [7] * 64)
+        block = SplitCounterBlock.from_bytes(raw)
+        assert block == SplitCounterBlock(fields[0], fields[1:])
+        # 64 + 64 x 7 = 512 bits: no padding, so every input round-trips.
+        assert block.to_bytes() == raw
+
+    @given(st.binary(min_size=64, max_size=64))
+    def test_sgx_decode(self, raw):
+        fields = unpack_fields(block_to_int(raw), [56] * 9)
+        block = SgxCounterBlock.from_bytes(raw)
+        assert block == SgxCounterBlock(fields[:8], fields[8])
+        # 504 bits used: the top byte is padding, dropped on decode.
+        assert block.to_bytes() == raw[:63] + b"\x00"
+
+    @given(st.binary(min_size=63, max_size=63))
+    def test_sgx_roundtrip_without_padding(self, body):
+        raw = body + b"\x00"
+        assert SgxCounterBlock.from_bytes(raw).to_bytes() == raw
+
+    @given(st.binary(max_size=128).filter(lambda raw: len(raw) != 64))
+    def test_wrong_length_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            SplitCounterBlock.from_bytes(raw)
+        with pytest.raises(ConfigError):
+            SgxCounterBlock.from_bytes(raw)
+
+    def test_decoded_blocks_are_fully_formed(self):
+        split = SplitCounterBlock.from_bytes(bytes(range(64)))
+        assert split.increment(0) is False and split.copy() == split
+        sgx = SgxCounterBlock.from_bytes(bytes(range(64)))
+        assert sgx.increment(0) is False and sgx.copy() == sgx

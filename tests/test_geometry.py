@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import MemoryConfig, TreeKind
+from repro.integrity import geometry
 from repro.integrity.geometry import ancestors, path_to_root
 from repro.mem.layout import MemoryLayout
 
@@ -50,6 +51,27 @@ class TestPathToRoot:
     def test_memoized_identity(self, layout):
         leaf = layout.counter_region.block_address(5)
         assert path_to_root(layout, leaf) is path_to_root(layout, leaf)
+
+    def test_memo_bounded_evicts_oldest_first(self, layout, monkeypatch):
+        monkeypatch.setattr(geometry, "_PATH_CACHE_LIMIT", 4)
+        leaves = [layout.counter_region.block_address(i) for i in range(10)]
+        first = path_to_root(layout, leaves[0])
+        for index, leaf in enumerate(leaves[1:], start=1):
+            path = path_to_root(layout, leaf)
+            assert len(layout._path_cache) == min(index + 1, 4)
+            assert path[0].address == leaf
+            assert [step.index for step in path] == [
+                index // 8**level for level in range(layout.root_level + 1)
+            ]
+        # The newest four survive in insertion order; the rest made room.
+        assert list(layout._path_cache) == leaves[-4:]
+        assert path_to_root(layout, leaves[-1]) is path_to_root(
+            layout, leaves[-1]
+        )
+        # An evicted path is rebuilt equal (not identical) on demand.
+        again = path_to_root(layout, leaves[0])
+        assert again == first and again is not first
+        assert len(layout._path_cache) == 4
 
     @given(st.integers(min_value=0, max_value=1023))
     def test_addresses_match_layout_property(self, leaf_index):
