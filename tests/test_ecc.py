@@ -127,3 +127,64 @@ class TestLineApi:
     def test_line_roundtrip_property(self, line):
         codec = SecdedCodec()
         assert codec.is_sane(line, codec.encode_line(line))
+
+
+def _reference_encode_line(codec, line):
+    """Per-word definition of a line's ECC: one ``encode_word`` each."""
+    return bytes(
+        codec.encode_word(int.from_bytes(line[offset : offset + 8], "little"))
+        for offset in range(0, len(line), 8)
+    )
+
+
+def _reference_is_sane(codec, line, ecc):
+    """Per-word definition of the Osiris sanity check."""
+    if len(line) != 64 or len(ecc) != ECC_BYTES:
+        return False
+    return _reference_encode_line(codec, line) == ecc
+
+
+class TestReferenceEquivalence:
+    """The line-level API must equal its per-word definition exactly."""
+
+    @given(st.binary(min_size=64, max_size=64))
+    def test_encode_line_matches_per_word_encoding(self, line):
+        codec = SecdedCodec()
+        assert codec.encode_line(line) == _reference_encode_line(codec, line)
+
+    @given(
+        st.binary(min_size=64, max_size=64),
+        st.binary(min_size=ECC_BYTES, max_size=ECC_BYTES),
+        st.booleans(),
+    )
+    def test_is_sane_matches_per_word_definition(self, line, noise, clean):
+        codec = SecdedCodec()
+        ecc = codec.encode_line(line) if clean else noise
+        assert codec.is_sane(line, ecc) == _reference_is_sane(codec, line, ecc)
+
+    @given(
+        st.binary(min_size=0, max_size=80),
+        st.binary(min_size=0, max_size=12),
+    )
+    def test_is_sane_matches_definition_on_any_length(self, line, ecc):
+        codec = SecdedCodec()
+        assert codec.is_sane(line, ecc) == _reference_is_sane(codec, line, ecc)
+
+    @given(
+        st.binary(min_size=64, max_size=64),
+        st.integers(min_value=0, max_value=511),
+    )
+    def test_is_sane_rejects_any_single_flip(self, line, bit):
+        codec = SecdedCodec()
+        ecc = codec.encode_line(line)
+        flipped = bytearray(line)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert not codec.is_sane(bytes(flipped), ecc)
+        assert _reference_is_sane(codec, bytes(flipped), ecc) is False
+
+    @given(st.lists(st.binary(min_size=64, max_size=64), max_size=12))
+    def test_encode_lines_matches_encode_line(self, lines):
+        codec = SecdedCodec()
+        assert codec.encode_lines(lines) == [
+            codec.encode_line(line) for line in lines
+        ]
