@@ -6,7 +6,10 @@ This script measures the *before* implementations (the per-byte
 generator XOR and the uncached pad derivation the engine shipped with)
 against the *after* ones (whole-line integer XOR, memoized IV packing,
 LRU pad memo) and records both into ``BENCH_hot_paths.json`` so later
-PRs have a trajectory baseline.
+PRs have a trajectory baseline.  Two write-path codec rows ride along,
+report-only: the table-driven SECDED ``encode_line`` against a per-word
+``encode_word`` loop, and the shift-packed ``SgxCounterBlock.to_bytes``
+against ``util.bitops.pack_fields``.
 
 Usage::
 
@@ -35,12 +38,15 @@ sys.path.insert(
 )
 
 from repro.config import BLOCK_SIZE  # noqa: E402
+from repro.counters.sgx import SgxCounterBlock  # noqa: E402
 from repro.crypto.ctr import (  # noqa: E402
     CounterModeEngine,
     make_iv,
     xor_bytes,
 )
 from repro.crypto.keys import ProcessorKeys  # noqa: E402
+from repro.mem.ecc import SecdedCodec  # noqa: E402
+from repro.util.bitops import pack_fields  # noqa: E402
 
 DEFAULT_JSON = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -78,6 +84,20 @@ class _LegacyEngine:
             :BLOCK_SIZE
         ]
         return _legacy_xor(plaintext, pad)
+
+
+def _per_word_encode_line(codec: SecdedCodec, line: bytes) -> bytes:
+    """SECDED of a line as eight ``encode_word`` calls (the definition)."""
+    return bytes(
+        codec.encode_word(int.from_bytes(line[offset : offset + 8], "little"))
+        for offset in range(0, BLOCK_SIZE, 8)
+    )
+
+
+def _pack_fields_to_bytes(block: SgxCounterBlock) -> bytes:
+    """SGX block wire format via the generic, checked field packer."""
+    fields = [(counter, 56) for counter in block.counters]
+    return pack_fields(fields + [(block.mac, 56)]).to_bytes(BLOCK_SIZE, "little")
 
 
 def _time_per_op(func: Callable[[int], None], iterations: int) -> float:
@@ -192,11 +212,41 @@ def run_benchmarks(iterations: int = 20_000) -> Dict:
         lambda i: engine.decrypt(line, (i % HOT_SET) * 64, 7, 0), iterations
     )
 
+    # Write-path codecs: report-only rows, no --check gate.
+    codec = SecdedCodec()
+    lines = [
+        hashlib.blake2b(i.to_bytes(4, "little"), digest_size=64).digest()
+        for i in range(HOT_SET)
+    ]
+    results["ecc_per_word_ns"] = _time_per_op(
+        lambda i: _per_word_encode_line(codec, lines[i % HOT_SET]), iterations
+    )
+    results["ecc_encode_line_ns"] = _time_per_op(
+        lambda i: codec.encode_line(lines[i % HOT_SET]), iterations
+    )
+    blocks = [
+        SgxCounterBlock(
+            [int.from_bytes(line[k * 7 : k * 7 + 7], "little") for k in range(8)],
+            int.from_bytes(line[56:63], "little"),
+        )
+        for line in lines
+    ]
+    results["sgx_pack_fields_ns"] = _time_per_op(
+        lambda i: _pack_fields_to_bytes(blocks[i % HOT_SET]), iterations
+    )
+    results["sgx_to_bytes_ns"] = _time_per_op(
+        lambda i: blocks[i % HOT_SET].to_bytes(), iterations
+    )
+
     speedups = {
         "xor": results["xor_generator_ns"] / results["xor_int_ns"],
         "encrypt_cold": results["encrypt_legacy_ns"] / results["encrypt_cold_ns"],
         "encrypt_hot": results["encrypt_legacy_ns"] / results["encrypt_hot_ns"],
         "decrypt_hot": results["encrypt_legacy_ns"] / results["decrypt_hot_ns"],
+        "ecc_encode_line": results["ecc_per_word_ns"]
+        / results["ecc_encode_line_ns"],
+        "sgx_to_bytes": results["sgx_pack_fields_ns"]
+        / results["sgx_to_bytes_ns"],
     }
     return {
         "benchmark": "hot_paths",
@@ -208,6 +258,8 @@ def run_benchmarks(iterations: int = 20_000) -> Dict:
             "xor": results["xor_generator_ns"],
             "make_iv": results["make_iv_legacy_ns"],
             "encrypt": results["encrypt_legacy_ns"],
+            "ecc_encode_line": results["ecc_per_word_ns"],
+            "sgx_to_bytes": results["sgx_pack_fields_ns"],
         },
         "after_ns_per_op": {
             "xor": results["xor_int_ns"],
@@ -215,6 +267,8 @@ def run_benchmarks(iterations: int = 20_000) -> Dict:
             "encrypt_cold": results["encrypt_cold_ns"],
             "encrypt_hot": results["encrypt_hot_ns"],
             "decrypt_hot": results["decrypt_hot_ns"],
+            "ecc_encode_line": results["ecc_encode_line_ns"],
+            "sgx_to_bytes": results["sgx_to_bytes_ns"],
         },
         "speedups": speedups,
         "telemetry": bench_telemetry(),
@@ -254,7 +308,7 @@ def main(argv=None) -> int:
         stream.write("\n")
     print(f"hot-path benchmark written to {args.json}")
     for name, value in sorted(report["speedups"].items()):
-        print(f"  speedup {name:<12}: {value:6.1f}x")
+        print(f"  speedup {name:<15}: {value:6.1f}x")
     telemetry = report["telemetry"]
     print(
         "  telemetry overhead : "

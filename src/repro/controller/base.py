@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import CounterRecoveryKind, SystemConfig, TreeKind
 from repro.controller.access import MemoryRequest, Op
 from repro.crypto.ctr import CounterModeEngine
 from repro.crypto.hashes import mac56
@@ -183,8 +183,6 @@ class SecureMemoryController(abc.ABC):
     def _line_counter(self, major: int, minor: int) -> int:
         """The per-line counter value: the minor for split-counter
         systems, the 56-bit counter (passed as ``major``) for SGX."""
-        from repro.config import TreeKind
-
         return minor if self.config.tree == TreeKind.BONSAI else major
 
     def seal_data(
@@ -198,8 +196,6 @@ class SecureMemoryController(abc.ABC):
         provides), not confidentiality, so the leak is benign and
         recovery can read the exact counter instead of trialing.
         """
-        from repro.config import CounterRecoveryKind
-
         ecc = self.ecc_codec.encode_line(plaintext)
         mac = self.data_mac(address, major, minor, plaintext)
         cipher, sideband = self.ctr_engine.encrypt_with_ecc(

@@ -15,18 +15,30 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64
 from repro.errors import ConfigError
-from repro.util.bitops import extract_bits, insert_bits, mask
+from repro.util.bitops import mask
 
 _ADDRESSES_PER_BLOCK = 8
 _LSB_BITS = 49
 _MAC_BITS = 56
 _COUNTERS = 8
+#: ST entry layout: the 64-bit address word (bit 0 = valid), the MAC at
+#: bit 64, then LSB field *i* at bit 120 + 49i.
+_ADDRESS_MASK = mask(64) & ~1
+_MAC_MASK = mask(_MAC_BITS)
+_LSB_MASK = mask(_LSB_BITS)
+_MAC_SHIFT = 64
+_LSB_SHIFTS = tuple(
+    _MAC_SHIFT + _MAC_BITS + i * _LSB_BITS for i in range(_COUNTERS)
+)
+#: One shadow-tree node's hash input: its children as 64-bit words.
+_NODE_PAYLOAD = struct.Struct(f"<{TREE_ARITY}Q")
 
 
 class ShadowAddressTable:
@@ -99,13 +111,13 @@ class StEntry:
         """Pack to 64 bytes: addr|valid, MAC, eight 49-bit LSB fields."""
         if len(self.lsbs) != _COUNTERS:
             raise ConfigError("ST entry needs eight LSB fields")
-        word = (self.address & ~mask(1)) | (1 if self.valid else 0)
-        offset = 64
-        word = insert_bits(word, offset, _MAC_BITS, self.mac & mask(_MAC_BITS))
-        offset += _MAC_BITS
-        for lsb in self.lsbs:
-            word = insert_bits(word, offset, _LSB_BITS, lsb & mask(_LSB_BITS))
-            offset += _LSB_BITS
+        word = (
+            (self.address & _ADDRESS_MASK)
+            | (1 if self.valid else 0)
+            | (self.mac & _MAC_MASK) << _MAC_SHIFT
+        )
+        for lsb, shift in zip(self.lsbs, _LSB_SHIFTS):
+            word |= (lsb & _LSB_MASK) << shift
         return word.to_bytes(BLOCK_SIZE, "little")
 
     @classmethod
@@ -114,14 +126,12 @@ class StEntry:
         if len(raw) != BLOCK_SIZE:
             raise ConfigError("ST entry must be 64 bytes")
         word = int.from_bytes(raw, "little")
-        valid = bool(word & 1)
-        address = extract_bits(word, 0, 64) & ~mask(1)
-        mac = extract_bits(word, 64, _MAC_BITS)
-        lsbs = tuple(
-            extract_bits(word, 64 + _MAC_BITS + i * _LSB_BITS, _LSB_BITS)
-            for i in range(_COUNTERS)
+        return cls(
+            valid=bool(word & 1),
+            address=word & _ADDRESS_MASK,
+            mac=(word >> _MAC_SHIFT) & _MAC_MASK,
+            lsbs=tuple((word >> shift) & _LSB_MASK for shift in _LSB_SHIFTS),
         )
-        return cls(valid=valid, address=address, mac=mac, lsbs=lsbs)
 
     @classmethod
     def invalid(cls) -> "StEntry":
@@ -160,11 +170,10 @@ class ShadowRegionTree:
 
     def _node_hash(self, level: int, index: int) -> int:
         below = self.levels[level - 1]
-        payload = bytearray()
-        for child in range(index * TREE_ARITY, (index + 1) * TREE_ARITY):
-            value = below[child] if child < len(below) else 0
-            payload += value.to_bytes(8, "little")
-        return hash64(self.key, bytes(payload))
+        children = below[index * TREE_ARITY : (index + 1) * TREE_ARITY]
+        if len(children) < TREE_ARITY:
+            children += [0] * (TREE_ARITY - len(children))
+        return hash64(self.key, _NODE_PAYLOAD.pack(*children))
 
     def update(self, leaf_index: int, block: bytes) -> int:
         """Fold a new ST entry block into the tree; returns the number

@@ -16,7 +16,7 @@ from typing import List
 
 from repro.config import BLOCK_SIZE
 from repro.errors import ConfigError
-from repro.util.bitops import insert_bits, mask
+from repro.util.bitops import mask
 
 _COUNTER_BITS = 56
 _COUNTERS_PER_BLOCK = 8
@@ -105,12 +105,29 @@ class SgxCounterBlock:
 
     def to_bytes(self) -> bytes:
         """Serialize: counter *i* at bit 56i, MAC at bit 448."""
-        word = 0
-        offset = 0
-        for counter in self.counters:
-            word = insert_bits(word, offset, _COUNTER_BITS, counter)
-            offset += _COUNTER_BITS
-        word = insert_bits(word, offset, _MAC_BITS, self.mac)
+        counters = self.counters
+        mac = self.mac
+        if (
+            min(counters) < 0
+            or max(counters) > _COUNTER_MAX
+            or not 0 <= mac <= _MAC_MAX
+        ):
+            raise ConfigError(
+                f"SGX block field out of {_COUNTER_BITS}-bit range: "
+                f"counters={counters}, mac={mac}"
+            )
+        c0, c1, c2, c3, c4, c5, c6, c7 = counters
+        word = (
+            c0
+            | c1 << 56
+            | c2 << 112
+            | c3 << 168
+            | c4 << 224
+            | c5 << 280
+            | c6 << 336
+            | c7 << 392
+            | mac << _MAC_SHIFT
+        )
         return word.to_bytes(BLOCK_SIZE, "little")
 
     @classmethod

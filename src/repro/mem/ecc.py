@@ -36,6 +36,8 @@ def _data_positions() -> List[int]:
 
 
 _DATA_POSITIONS = _data_positions()
+#: Codeword position -> data-bit index, for single-error correction.
+_DATA_BIT_INDEX = {pos: index for index, pos in enumerate(_DATA_POSITIONS)}
 
 # For each parity bit i (covering positions with bit i set), precompute a
 # mask over the 64 data-bit indices it covers.
@@ -88,8 +90,8 @@ class SecdedCodec:
             # syndrome names the flipped codeword position; only data
             # positions are repairable here (a flipped parity bit leaves
             # the data intact).
-            if syndrome in _DATA_POSITIONS:
-                bit_index = _DATA_POSITIONS.index(syndrome)
+            bit_index = _DATA_BIT_INDEX.get(syndrome)
+            if bit_index is not None:
                 return True, word ^ (1 << bit_index)
             if syndrome <= _CODE_POSITIONS:
                 return True, word  # parity-bit flip; data is fine
@@ -103,11 +105,7 @@ class SecdedCodec:
         """ECC bytes (8) for a 64B line, one code per 64-bit word."""
         if len(line) != BLOCK_SIZE:
             raise ValueError(f"line must be {BLOCK_SIZE} bytes")
-        codes = bytearray()
-        for offset in range(0, BLOCK_SIZE, 8):
-            word = int.from_bytes(line[offset : offset + 8], "little")
-            codes.append(self.encode_word(word))
-        return bytes(codes)
+        return _line_code(line)
 
     def encode_lines(self, lines: List[bytes]) -> List[bytes]:
         """Batch :meth:`encode_line` over many 64B lines at once.
@@ -152,21 +150,19 @@ class SecdedCodec:
         """
         if len(line) != BLOCK_SIZE or len(ecc) != ECC_BYTES:
             return False
-        for word_index in range(ECC_BYTES):
-            word = int.from_bytes(
-                line[word_index * 8 : word_index * 8 + 8], "little"
-            )
-            expected = self.encode_word(word)
-            if expected != ecc[word_index]:
-                return False
-        return True
+        return _line_code(line) == ecc
 
     def correct_line(self, line: bytes, ecc: bytes) -> Tuple[bool, bytes]:
         """Correct up to one bit flip per word; ``(ok, corrected_line)``."""
         if len(line) != BLOCK_SIZE or len(ecc) != ECC_BYTES:
             return False, line
+        expected = _line_code(line)
         repaired = bytearray(line)
         for word_index in range(ECC_BYTES):
+            # A word whose code matches is clean: check_word would
+            # return it unchanged, so only mismatching words are checked.
+            if expected[word_index] == ecc[word_index]:
+                continue
             word = int.from_bytes(
                 line[word_index * 8 : word_index * 8 + 8], "little"
             )
@@ -177,3 +173,41 @@ class SecdedCodec:
                 8, "little"
             )
         return True, bytes(repaired)
+
+
+def _byte_tables() -> Tuple[bytes, ...]:
+    """Per-byte-position SECDED lookup tables.
+
+    The 8-bit code, overall parity included, is linear over GF(2) in
+    the data word, so a word's code is the XOR of the codes of its
+    eight bytes taken in place.  Table *j* maps byte value ``b`` to
+    ``encode_word(b << 8*j)``; it is built from the eight single-bit
+    codes of byte *j* by doubling (entries with bit *k* set are the
+    entries without it, XOR the code of bit *k*).
+    """
+    encode_word = SecdedCodec().encode_word
+    tables = []
+    for byte_index in range(8):
+        table = [0]
+        for bit in range(8):
+            unit = encode_word(1 << (8 * byte_index + bit))
+            table += [code ^ unit for code in table]
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+#: ``(j, table_j)`` pairs: ``line[j::8]`` is byte *j* of every word.
+_BYTE_TABLES = tuple(enumerate(_byte_tables()))
+
+
+def _line_code(line: bytes) -> bytes:
+    """The eight SECDED codes of a 64B line (length already checked).
+
+    ``line[j::8].translate(table_j)`` holds byte *j*'s contribution to
+    each word's code, one byte per word; XORing the eight strings as
+    integers yields all eight codes at once.
+    """
+    code = 0
+    for byte_index, table in _BYTE_TABLES:
+        code ^= int.from_bytes(line[byte_index::8].translate(table), "little")
+    return code.to_bytes(ECC_BYTES, "little")

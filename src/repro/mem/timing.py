@@ -67,20 +67,27 @@ class MemoryChannel:
         must wait for, e.g. an eviction that blocks a fill) stall the
         core for the full latency.
         """
+        if not critical:
+            # ``now`` is fixed here, so each posted write just extends
+            # the backlog by the same occupancy.
+            occupancy = self.timing.nvm_write_ns * (
+                1.0 - self.timing.background_write_overlap
+            )
+            now = self.now
+            busy_until = self.busy_until
+            for _ in range(count):
+                busy_until = max(busy_until, now) + occupancy
+            self.busy_until = busy_until
+            self._writes.add(max(count, 0))
+            return 0.0
         stall = 0.0
         for _ in range(count):
             self._writes.add()
-            if critical:
-                start = max(self.now, self.busy_until)
-                done = start + self.timing.nvm_write_ns
-                self.busy_until = done
-                stall += done - self.now
-                self.now = done
-            else:
-                occupancy = self.timing.nvm_write_ns * (
-                    1.0 - self.timing.background_write_overlap
-                )
-                self.busy_until = max(self.busy_until, self.now) + occupancy
+            start = max(self.now, self.busy_until)
+            done = start + self.timing.nvm_write_ns
+            self.busy_until = done
+            stall += done - self.now
+            self.now = done
         return stall
 
     def hash_latency(self, count: int = 1) -> float:

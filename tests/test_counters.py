@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.counters.sgx import SgxCounterBlock
 from repro.counters.split import SplitCounterBlock
 from repro.errors import ConfigError
-from repro.util.bitops import block_to_int, unpack_fields
+from repro.util.bitops import block_to_int, pack_fields, unpack_fields
 
 
 class TestSplitCounterBasics:
@@ -175,6 +175,45 @@ class TestSgxWire:
         clone = block.copy()
         block.increment(0)
         assert clone.counter(0) == 0
+
+
+class TestSgxToBytesMatchesReferencePack:
+    """The shift-packed encoder equals the generic bit-field packer and
+    still rejects every out-of-range field."""
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << 56) - 1),
+            min_size=8,
+            max_size=8,
+        ),
+        st.integers(min_value=0, max_value=(1 << 56) - 1),
+    )
+    def test_matches_pack_fields(self, counters, mac):
+        expected = pack_fields(
+            [(counter, 56) for counter in counters] + [(mac, 56)]
+        ).to_bytes(64, "little")
+        assert SgxCounterBlock(counters, mac).to_bytes() == expected
+
+    @pytest.mark.parametrize("slot", [0, 3, 7])
+    @pytest.mark.parametrize("bad", [1 << 56, (1 << 64) + 5, -1])
+    def test_out_of_range_counter_rejected(self, slot, bad):
+        block = SgxCounterBlock()
+        block.counters[slot] = bad
+        with pytest.raises(ConfigError):
+            block.to_bytes()
+
+    @pytest.mark.parametrize("bad", [1 << 56, -1])
+    def test_out_of_range_mac_rejected(self, bad):
+        block = SgxCounterBlock(list(range(8)))
+        block.mac = bad
+        with pytest.raises(ConfigError):
+            block.to_bytes()
+
+    def test_extreme_in_range_fields_accepted(self):
+        top = (1 << 56) - 1
+        raw = SgxCounterBlock([top] * 8, top).to_bytes()
+        assert raw == b"\xff" * 63 + b"\x00"
 
 
 class TestFromBytesMatchesReferenceDecode:

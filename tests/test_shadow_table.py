@@ -9,8 +9,10 @@ from repro.core.shadow_table import (
     ShadowRegionTree,
     StEntry,
 )
+from repro.crypto.hashes import hash64
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
+from repro.util.bitops import mask, pack_fields
 
 
 class TestShadowAddressTable:
@@ -130,6 +132,32 @@ class TestStEntry:
         )
         assert StEntry.from_bytes(entry.to_bytes()) == entry
 
+    @given(
+        st.booleans(),
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.integers(min_value=0, max_value=(1 << 60) - 1),
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << 52) - 1),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    def test_to_bytes_matches_pack_fields(self, valid, address, mac, lsbs):
+        # Oversized MAC and LSB values are truncated to their widths.
+        entry = StEntry(valid=valid, address=address, mac=mac, lsbs=tuple(lsbs))
+        fields = [
+            (int(valid), 1),
+            (address >> 1, 63),
+            (mac & mask(56), 56),
+        ] + [(lsb & mask(49), 49) for lsb in lsbs]
+        expected = pack_fields(fields).to_bytes(64, "little")
+        assert entry.to_bytes() == expected
+        parsed = StEntry.from_bytes(expected)
+        assert parsed.valid == valid
+        assert parsed.address == address & ~1
+        assert parsed.mac == mac & mask(56)
+        assert parsed.lsbs == tuple(lsb & mask(49) for lsb in lsbs)
+
 
 class TestShadowRegionTree:
     @pytest.fixture
@@ -165,6 +193,23 @@ class TestShadowRegionTree:
         blocks[5] = b"\xff" * 64  # attacker edit
         root = ShadowRegionTree.compute_root(key, 20, lambda i: blocks[i])
         assert root != tree.root
+
+    def test_node_hash_pads_short_last_node(self, key):
+        # 20 leaves -> 3 level-1 nodes; the last has 4 children and
+        # hashes them zero-padded to eight 64-bit words.
+        tree = ShadowRegionTree(key, 20)
+        leaves = tree.levels[0]
+        expected = [
+            hash64(
+                key,
+                b"".join(
+                    (leaves[child] if child < 20 else 0).to_bytes(8, "little")
+                    for child in range(node * 8, node * 8 + 8)
+                ),
+            )
+            for node in range(3)
+        ]
+        assert tree.levels[1] == expected
 
     def test_update_reports_hash_count(self, key):
         tree = ShadowRegionTree(key, 64)  # levels: 64 -> 8 -> 1

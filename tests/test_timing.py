@@ -72,6 +72,30 @@ class TestWrites:
         channel.write(3)
         assert channel.stats.get("channel_writes") == 3
 
+    @pytest.mark.parametrize("critical", [False, True])
+    @pytest.mark.parametrize("gap", [0.0, 37.5, 1000.0])
+    def test_batched_writes_equal_single_writes(self, critical, gap):
+        # One write(n) must leave exactly the clocks, stall and stats of
+        # n write(1) calls (the WPQ drain relies on it).
+        batched = make_channel(background_write_overlap=0.3)
+        single = make_channel(background_write_overlap=0.3)
+        for channel in (batched, single):
+            channel.write(2)
+            channel.advance(gap)
+        stall = batched.write(5, critical=critical)
+        assert stall == sum(single.write(1, critical=critical) for _ in range(5))
+        assert (batched.now, batched.busy_until) == (
+            single.now,
+            single.busy_until,
+        )
+        assert batched.stats.as_dict() == single.stats.as_dict()
+
+    def test_zero_writes_are_free(self):
+        channel = make_channel()
+        assert channel.write(0) == 0.0
+        assert channel.busy_until == 0.0
+        assert channel.stats.get("channel_writes") == 0
+
 
 class TestHashLatency:
     def test_hash_advances_core(self):

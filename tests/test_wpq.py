@@ -1,6 +1,8 @@
 """Unit tests for the WPQ, ADR flush, and two-stage commit."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import TimingConfig
 from repro.errors import WpqError
@@ -78,6 +80,100 @@ class TestWpqBasics:
     def test_rejects_zero_entries(self, nvm, channel):
         with pytest.raises(WpqError):
             WritePendingQueue(nvm, channel, entries=0)
+
+
+def _system(entries):
+    nvm = NvmDevice(64 * 1024)
+    channel = MemoryChannel(TimingConfig(), StatGroup("channel"))
+    return nvm, channel, WritePendingQueue(nvm, channel, entries, StatGroup("wpq"))
+
+
+def _drain_one_by_one(wpq):
+    """Reference drain: the queue-full path, once per pending entry."""
+    drained = 0
+    while len(wpq):
+        wpq._drain_one()
+        drained += 1
+    return drained
+
+
+def _full_state(nvm, channel, wpq):
+    return (
+        # Item lists, not dicts: the drain order must match too.
+        list(nvm._blocks.items()),
+        list(nvm._ecc.items()),
+        list(nvm._write_counts.items()),
+        nvm.stats.as_dict(),
+        channel.now,
+        channel.busy_until,
+        channel.stats.as_dict(),
+        wpq.stats.as_dict(),
+        wpq.pending_entries(),
+    )
+
+
+_WPQ_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.integers(min_value=0, max_value=15),
+            st.integers(min_value=0, max_value=255),
+            st.booleans(),
+        ),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=900.0)),
+        st.tuples(st.just("drain")),
+        st.tuples(st.just("drain_all")),
+    ),
+    max_size=60,
+)
+
+
+class TestBatchedDrainMatchesPerEntryDrain:
+    """``drain_opportunistic``/``drain_all`` pop entries in FIFO order
+    and charge the channel once; the result must equal draining the
+    same queue one ``_drain_one`` at a time."""
+
+    @given(st.integers(min_value=1, max_value=6), _WPQ_OPS)
+    def test_differential(self, entries, ops):
+        fast = _system(entries)
+        slow = _system(entries)
+        for op in ops:
+            for nvm, channel, wpq in (fast, slow):
+                if op[0] == "insert":
+                    _, slot, fill, sideband = op
+                    wpq.insert(
+                        slot * 64,
+                        bytes([fill]) * 64,
+                        bytes([fill ^ 0x5A]) * 16 if sideband else None,
+                    )
+                elif op[0] == "advance":
+                    channel.advance(op[1])
+            if op[0] == "drain":
+                assert fast[2].drain_opportunistic() == _drain_one_by_one(
+                    slow[2]
+                )
+            elif op[0] == "drain_all":
+                assert fast[2].drain_all() == _drain_one_by_one(slow[2])
+            assert _full_state(*fast) == _full_state(*slow)
+
+    def test_empty_drain_is_free(self):
+        nvm, channel, wpq = _system(4)
+        assert wpq.drain_opportunistic() == 0
+        assert wpq.drain_all() == 0
+        assert channel.busy_until == 0.0
+        assert channel.stats.get("channel_writes") == 0
+        assert wpq.stats.get("drains") == 0
+
+    def test_drain_is_fifo_after_coalescing(self):
+        nvm, channel, wpq = _system(4)
+        wpq.insert(0, LINE)
+        wpq.insert(64, LINE)
+        wpq.insert(0, OTHER)  # coalesces and moves to the back
+        assert [entry[0] for entry in wpq.pending_entries()] == [64, 0]
+        assert wpq.drain_opportunistic() == 2
+        assert nvm.read(0) == OTHER
+        assert wpq.stats.get("drains") == 2
+        assert channel.stats.get("channel_writes") == 2
 
 
 class TestAdrFlush:
