@@ -302,3 +302,39 @@ class TestStats:
         assert "ctrl.data_writes" in flat
         assert "nvm.writes" in flat
         assert "wpq.inserts" in flat
+
+
+class TestLifetime:
+    def test_controller_freed_without_cyclic_gc(self):
+        # A controller must die by reference counting alone: a cycle
+        # (e.g. the tree engine holding a bound controller method) would
+        # keep every simulated cell's caches and NVM image alive until
+        # the cyclic collector happens to run.
+        import gc
+        import weakref
+
+        from repro.traces.profiles import SyntheticProfile
+        from repro.traces.replay import replay
+        from repro.traces.synthetic import generate_trace
+
+        profile = SyntheticProfile(
+            name="lifetime",
+            write_fraction=0.8,
+            pattern="hot_cold",
+            footprint_bytes=256 * 1024,
+            hot_bytes=16 * 1024,
+            hot_fraction=0.8,
+        )
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            controller = make_controller(SchemeKind.AGIT_PLUS)
+            replay(controller, generate_trace(profile, 300, seed=5))
+            controller.engine.root_value()
+            alive = weakref.ref(controller)
+            del controller
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
