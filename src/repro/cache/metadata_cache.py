@@ -86,6 +86,44 @@ class MetadataCache:
             self._first_dirty.add()
         return first
 
+    def touch_dirty(self, address: int) -> Tuple[int, bool]:
+        """:meth:`access` (a hit) then :meth:`mark_dirty`, fused.
+
+        ``address`` must be resident.  Same effects in the same order
+        as the two calls: one hit, two LRU clock ticks, the dirty bit
+        and first-dirty count, and the detail-level ``cache.hit`` event.
+        Returns ``(slot, first)`` for the controller's dirty hook.
+        """
+        cache = self.cache
+        slot = cache._index[address]
+        line = cache._lines[slot]
+        self._hits.add()
+        tracer = self.tracer
+        if tracer.enabled and tracer.detail:
+            tracer.emit("cache.hit", cache=self.name, address=address)
+        cache._clock += 2
+        line.lru_stamp = cache._clock
+        first = not line.dirty
+        if first:
+            line.dirty = True
+            self._first_dirty.add()
+        return slot, first
+
+    def resident_payloads(self, addresses) -> Optional[list]:
+        """Payloads of ``addresses`` if every one is resident, else None.
+
+        No LRU or stat side effects (:meth:`peek` over a sequence).
+        """
+        index = self.cache._index
+        lines = self.cache._lines
+        payloads = []
+        for address in addresses:
+            slot = index.get(address)
+            if slot is None:
+                return None
+            payloads.append(lines[slot].payload)
+        return payloads
+
     def classify_chunk(self, addresses):
         """Vectorized residency snapshot over a chunk of addresses.
 

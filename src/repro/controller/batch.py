@@ -16,17 +16,20 @@ pad, sideband pad, MAC — the pad memo in `crypto/ctr` is bypassed
 because steady-state seals always use a fresh ``(address, major,
 minor)`` tuple and pads are pure, so memo state is unobservable).
 Statistics tallies accumulate per window and flush once (bulk stats
-accumulation), and tree-hash propagation for dirtied counters is
-deferred to window/fallback boundaries where any propagation order
-reproduces the scalar final state.
+accumulation).  Tree hashing is not done here at all: a fast write does
+the eager walk's cache touches and hooks, then hands its counter to the
+controller's pending tree record (``BonsaiTreeEngine.defer``) — the same
+record the scalar controller fills — and the engine hashes each pending
+path once at its flush points (every metadata miss, a root read, the
+end of the window).
 
 Anything off the hit path — a metadata miss, a counter overflow, a
 pending eviction, an invalid address — drops to the **real** scalar
-controller methods for exactly that access, after flushing deferred
-tree state and syncing the local clocks back, so
-interleaving-sensitive machinery (verification chains, evictions, WPQ
-pressure, AGIT fill hooks, page re-encryption) runs unmodified.  The
-contract, checked by ``batch_supported``:
+controller methods for exactly that access, after syncing the local
+clocks back, so interleaving-sensitive machinery (verification chains,
+evictions, WPQ pressure, AGIT fill hooks, page re-encryption, tree
+flushes) runs unmodified.  The contract, checked by
+``batch_supported``:
 
 * results are *identical* to scalar replay — same stats, same timing,
   same NVM/cache/WPQ state, same exceptions at the same access;
@@ -129,91 +132,6 @@ def batch_supported(controller) -> bool:
     return scalar_fallback_reason(controller) is None
 
 
-def _tree_path(controller, counter_address: int) -> tuple:
-    """Memoized ``(ancestors, steps)`` of a counter block's tree path.
-
-    ``ancestors`` is the tuple of stored (in-memory) ancestor node
-    addresses, bottom-up — the fast-path residency guard.  ``steps``
-    is the full bottom-up ``(parent_address_or_None, child_slot)``
-    sequence the flusher walks; the final step's address is None (the
-    on-chip root).
-    """
-    memo = getattr(controller, "_batch_path_memo", None)
-    if memo is None:
-        memo = controller._batch_path_memo = {}
-    entry = memo.get(counter_address)
-    if entry is None:
-        steps = tuple(
-            (step.address, step.child_slot)
-            for step in path_to_root(controller.layout, counter_address)[1:]
-        )
-        ancestors = tuple(a for a, _ in steps if a is not None)
-        entry = (ancestors, steps)
-        memo[counter_address] = entry
-    return entry
-
-
-def _flush_tree(
-    controller,
-    pending: Dict[int, SplitCounterBlock],
-    packed: Optional[Dict[int, int]] = None,
-) -> None:
-    """Propagate deferred tree updates for every dirtied counter block.
-
-    Scalar eager mode re-hashes the whole ancestor path on *every*
-    write; within a batched window those intermediate hashes are
-    unobservable (nothing verifies against a cached node until a miss,
-    and misses flush first), so one bottom-up propagation at the window
-    boundary lands the identical final state: ``set_child_hash`` is
-    last-writer-wins per (node, slot), and propagating level by level —
-    every dirty counter hashed once, then every touched parent hashed
-    once from its *current* bytes, and so on to the root — re-hashes
-    each shared ancestor exactly once while still running strictly
-    after all its children's slot updates.  ``packed`` (the engine's
-    incremental serialization cache) supplies counter bytes without a
-    64-field repack when available.
-    """
-    engine = controller.engine
-    block_hash = engine.block_hash
-    root_node = engine.root_node
-    sa = controller.merkle_cache.cache
-    m_index = sa._index
-    m_lines = sa._lines
-    path_memo = controller._batch_path_memo
-    #: parent address -> remaining bottom-up steps from that parent.
-    frontier: Dict[int, tuple] = {}
-    for counter_address, block in pending.items():
-        steps = path_memo[counter_address][1]
-        parent_address, child_slot = steps[0]
-        word = packed.get(counter_address) if packed is not None else None
-        child_bytes = (
-            word.to_bytes(BLOCK_SIZE, "little")
-            if word is not None
-            else block.to_bytes()
-        )
-        child_hash = block_hash(child_bytes)
-        if parent_address is None:
-            root_node.set_child_hash(child_slot, child_hash)
-        else:
-            node = m_lines[m_index[parent_address]].payload
-            node.set_child_hash(child_slot, child_hash)
-            frontier[parent_address] = steps[1:]
-    while frontier:
-        upper: Dict[int, tuple] = {}
-        for address, steps in frontier.items():
-            node = m_lines[m_index[address]].payload
-            child_hash = block_hash(node.to_bytes())
-            parent_address, child_slot = steps[0]
-            if parent_address is None:
-                root_node.set_child_hash(child_slot, child_hash)
-            else:
-                parent = m_lines[m_index[parent_address]].payload
-                parent.set_child_hash(child_slot, child_hash)
-                upper[parent_address] = steps[1:]
-        frontier = upper
-    pending.clear()
-
-
 def run_batched_range(
     controller,
     columns,
@@ -279,9 +197,7 @@ def run_batched_range(
     encode_lines = controller.ecc_codec.encode_lines
     real_read = controller.read
     real_write = controller.write
-    path_memo = getattr(controller, "_batch_path_memo", None)
-    if path_memo is None:
-        path_memo = controller._batch_path_memo = {}
+    defer = controller.engine.defer
     minor_bits = SplitCounterBlock.minor_bits
 
     # Dispatch AGIT dirty hooks only when actually overridden.
@@ -298,8 +214,6 @@ def run_batched_range(
         else None
     )
 
-    #: counter address -> live block, for deferred tree propagation.
-    pending_tree: Dict[int, SplitCounterBlock] = {}
     #: counter address -> packed 512-bit serialization of the block's
     #: *current* state.  The fast path owns every mutation between
     #: fallbacks, so each write updates the word with one shifted add
@@ -416,8 +330,6 @@ def run_batched_range(
                         else None
                     )
                     if slot_index is None:
-                        if pending_tree:
-                            _flush_tree(controller, pending_tree, packed)
                         channel.now = ch_now
                         channel.busy_until = ch_busy
                         counter_sa._clock = c_clock
@@ -483,17 +395,13 @@ def run_batched_range(
                     if minor >= _MINOR_MAX:
                         fast = False  # overflow: page re-encryption path
                     elif eager:
-                        entry = path_memo.get(caddrs[j])
-                        if entry is None:
-                            entry = _tree_path(controller, caddrs[j])
-                        ancestors = entry[0]
+                        steps = path_to_root(layout, caddrs[j])
+                        ancestors = [step.address for step in steps[1:-1]]
                         for ancestor in ancestors:
                             if ancestor not in m_index:
                                 fast = False
                                 break
                 if not fast:
-                    if pending_tree:
-                        _flush_tree(controller, pending_tree, packed)
                     channel.now = ch_now
                     channel.busy_until = ch_busy
                     counter_sa._clock = c_clock
@@ -539,11 +447,13 @@ def run_batched_range(
                     counter_hook(slot_index, counter_address, first)
 
                 if eager:
-                    # _eager_update_ancestors(), hash math deferred: per
-                    # level one access() hit touch + one mark_dirty().
+                    # _eager_update_ancestors() deferred path: per level
+                    # one access() hit touch + one mark_dirty().
+                    nodes = []
                     for ancestor in ancestors:
                         merkle_slot = m_index[ancestor]
                         merkle_line = m_lines[merkle_slot]
+                        nodes.append(merkle_line.payload)
                         t_merkle_hits += 1
                         m_clock += 2
                         merkle_line.lru_stamp = m_clock
@@ -553,7 +463,7 @@ def run_batched_range(
                             t_merkle_first += 1
                         if merkle_hook is not None:
                             merkle_hook(merkle_slot, ancestor, merkle_first)
-                    pending_tree[counter_address] = block
+                    defer(counter_address, block, steps, nodes)
 
                 # seal_data(), inlined: SECDED (precomputed when
                 # predicted), keyed MAC, counter-mode pads straight from
@@ -628,8 +538,7 @@ def run_batched_range(
             channel.busy_until = ch_busy
             counter_sa._clock = c_clock
             merkle_sa._clock = m_clock
-        if pending_tree:
-            _flush_tree(controller, pending_tree, packed)
+        controller.flush_deferred()
         if t_data_reads:
             controller._data_reads.add(t_data_reads)
         if t_data_writes:

@@ -19,12 +19,20 @@ stop-loss counter mode encryption", §6.1).
 Tree-update policy: eager by default (§2.6 — the on-chip root always
 reflects the latest counters, which AGIT recovery relies on); the lazy
 policy is also implemented for the §2.6 discussion and its tests.
+
+Eager hashing is deferred on the host: a write whose stored ancestors
+are all cached does the walk's cache touches and hooks, then hands the
+counter to the tree engine's pending record; the engine hashes each
+pending path once, bottom-up, before anything can observe a hash (a
+metadata miss, a crash, a shutdown, a root read, the end of a replay).
+The simulated state is identical to hashing on every write (DESIGN.md
+§5.9).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.cache.sa_cache import Eviction
@@ -57,6 +65,11 @@ class BonsaiController(SecureMemoryController):
         self.merkle_cache = MetadataCache(config.merkle_cache, "merkle_cache")
         self.eager = config.update_policy == UpdatePolicy.EAGER
         self.scheme = config.scheme
+        #: Strict persistence stages every ancestor's bytes per write,
+        #: so only the other eager schemes defer tree hashing.
+        self._defer_tree = (
+            self.eager and self.scheme != SchemeKind.STRICT_PERSISTENCE
+        )
         self.stop_loss = config.encryption.stop_loss_limit
         self._use_stop_loss = self.scheme in (
             SchemeKind.OSIRIS,
@@ -141,8 +154,9 @@ class BonsaiController(SecureMemoryController):
         cache_slot = self.counter_cache.slot_of(counter_address)
         self._on_counter_dirtied(cache_slot, counter_address, first)
 
+        walked = None
         if self.eager:
-            self._eager_update_ancestors(counter_address, block)
+            walked = self._eager_update_ancestors(counter_address, block)
 
         major, minor = block.iv_pair(slot)
         cipher, sideband = self.seal_data(address, data, major, minor)
@@ -151,7 +165,9 @@ class BonsaiController(SecureMemoryController):
         # scheme requires lands in the WPQ atomically (§2.7).
         self.pregs.begin()
         self.pregs.stage(address, cipher, sideband)
-        self._stage_scheme_persists(counter_address, block, slot, overflowed)
+        self._stage_scheme_persists(
+            counter_address, block, slot, overflowed, walked
+        )
         pushed = self.pregs.commit()
         self._persist_writes.add(pushed)
         self._drain_evictions()
@@ -166,18 +182,31 @@ class BonsaiController(SecureMemoryController):
         block: SplitCounterBlock,
         slot: int,
         overflowed: bool,
+        walked: Optional[List[Tuple[int, bytes]]],
     ) -> None:
-        """Stage the metadata blocks this scheme persists per write."""
+        """Stage the metadata blocks this scheme persists per write.
+
+        ``walked`` is the eager walk's ``(address, bytes)`` list, counter
+        block first, or None if the write deferred its hashing or the
+        policy is lazy.  Strict persistence (which never defers) stages
+        exactly those bytes, as nothing changes between the walk and
+        here.
+        """
         if self.scheme == SchemeKind.STRICT_PERSISTENCE:
-            self.pregs.stage(counter_address, block.to_bytes())
+            if walked is None:  # lazy policy: stage what is cached
+                walked = [(counter_address, block.to_bytes())]
+                for step in path_to_root(self.layout, counter_address)[1:-1]:
+                    node = self.merkle_cache.peek(step.address)
+                    if node is not None:
+                        walked.append((step.address, node.to_bytes()))
+            self.pregs.stage(counter_address, walked[0][1])
             self.counter_cache.clean(counter_address)
-            for step in path_to_root(self.layout, counter_address)[1:]:
-                if step.address is None:
-                    break  # the root is an on-chip NVM register
-                node = self.merkle_cache.peek(step.address)
-                if node is not None:
-                    self.pregs.stage(step.address, node.to_bytes())
-                    self.merkle_cache.clean(step.address)
+            for address, raw in walked[1:]:
+                # A lower ancestor may have been evicted (and written
+                # back) by a miss higher up the same walk.
+                if self.merkle_cache.contains(address):
+                    self.pregs.stage(address, raw)
+                    self.merkle_cache.clean(address)
             return
         if self.scheme == SchemeKind.SELECTIVE:
             index = self.layout.counter_region.block_index(counter_address)
@@ -200,9 +229,12 @@ class BonsaiController(SecureMemoryController):
         block = self.counter_cache.access(counter_address)
         if block is not None:
             return block
-        # Flush pending write-backs first so the memory image we verify
-        # against is current (the full drain no-ops when re-entered from
-        # eviction processing; the targeted flush still runs there).
+        # Land deferred tree hashes (a fill may evict a node they touch,
+        # and verification reads them), then flush pending write-backs
+        # so the memory image we verify against is current (the full
+        # drain no-ops when re-entered from eviction processing; the
+        # targeted flush still runs there).
+        self.engine.flush()
         self._drain_evictions()
         self._flush_pending_eviction(counter_address)
         raw, _ = self.read_block(counter_address)
@@ -221,6 +253,7 @@ class BonsaiController(SecureMemoryController):
         node = self.merkle_cache.access(node_address)
         if node is not None:
             return node
+        self.engine.flush()
         self._drain_evictions()
         self._flush_pending_eviction(node_address)
         raw, _ = self.read_block(node_address)
@@ -306,10 +339,31 @@ class BonsaiController(SecureMemoryController):
 
     def _eager_update_ancestors(
         self, counter_address: int, block: SplitCounterBlock
-    ) -> None:
-        """Propagate a counter update through every level to the root."""
+    ) -> Optional[List[Tuple[int, bytes]]]:
+        """Propagate a counter update through every level to the root.
+
+        When every stored ancestor is cached (and the scheme defers),
+        only the walk's cache touches and dirty hooks run here, bottom-up
+        as the full walk does them, and the hashing is left to the
+        engine's next flush; returns None.  Otherwise pending work is
+        flushed and the full walk runs, returning the ``(address,
+        bytes)`` it produced per level, counter block first.
+        """
+        steps = path_to_root(self.layout, counter_address)
+        if self._defer_tree:
+            addresses = [step.address for step in steps[1:-1]]
+            nodes = self.merkle_cache.resident_payloads(addresses)
+            if nodes is not None:
+                touch = self.merkle_cache.touch_dirty
+                for address in addresses:
+                    slot, first = touch(address)
+                    self._on_merkle_dirtied(slot, address, first)
+                self.engine.defer(counter_address, block, steps, nodes)
+                return None
+            self.engine.flush()
         child_bytes = block.to_bytes()
-        for step in path_to_root(self.layout, counter_address)[1:]:
+        walked = [(counter_address, child_bytes)]
+        for step in steps[1:]:
             child_hash = self.engine.block_hash(child_bytes)
             if step.address is None:
                 self.engine.root_node.set_child_hash(step.child_slot, child_hash)
@@ -320,6 +374,8 @@ class BonsaiController(SecureMemoryController):
             slot = self.merkle_cache.slot_of(step.address)
             self._on_merkle_dirtied(slot, step.address, first)
             child_bytes = node.to_bytes()
+            walked.append((step.address, child_bytes))
+        return walked
 
     def _lazy_propagate(self, child_address: int, child_bytes: bytes) -> None:
         """Lazy policy: fold an evicted child's hash into its parent."""
@@ -425,8 +481,14 @@ class BonsaiController(SecureMemoryController):
     # crash / shutdown
     # ------------------------------------------------------------------
 
+    def flush_deferred(self) -> None:
+        """Land deferred eager tree hashes in the cached nodes and root."""
+        self.engine.flush()
+
     def drop_volatile(self) -> None:
         """Lose all cache contents (power failure)."""
+        # The root register survives with every write folded in.
+        self.engine.flush()
         self.counter_cache.drop_all_volatile()
         self.merkle_cache.drop_all_volatile()
         self._evictions.clear()
@@ -435,6 +497,7 @@ class BonsaiController(SecureMemoryController):
 
     def writeback_all(self) -> None:
         """Orderly shutdown: persist every dirty metadata block."""
+        self.engine.flush()
         for _slot, address, payload, dirty in list(self.counter_cache.resident()):
             if dirty:
                 raw = payload.to_bytes()

@@ -16,7 +16,7 @@ data MACs bind the line address.
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import Any, Dict, List, Sequence
 
 _NODE_STRUCT = struct.Struct("<8Q")
 
@@ -98,10 +98,32 @@ class BonsaiTreeEngine:
             child_hash = self.block_hash(child)
             node = BonsaiNode([child_hash] * TREE_ARITY)
             self._default_bytes.append(node.to_bytes())
-        #: On-chip root-level node. Survives crashes (NVM register).
-        self.root_node = BonsaiNode.from_bytes(
+        self._root_node = BonsaiNode.from_bytes(
             self._default_bytes[layout.root_level]
         )
+        #: Deferred eager propagation: counter address -> (counter
+        #: block, its ``path_to_root`` steps, its stored ancestor node
+        #: objects bottom-up).  See :meth:`defer`.
+        self._pending: Dict[int, tuple] = {}
+
+    @property
+    def root_node(self) -> BonsaiNode:
+        """On-chip root-level node. Survives crashes (NVM register).
+
+        Reading it lands any deferred propagation first, so every
+        observer sees the eager root.
+        """
+        if self._pending:
+            self.flush()
+        return self._root_node
+
+    @root_node.setter
+    def root_node(self, node: BonsaiNode) -> None:
+        # Deferred work belongs to the tree being replaced: land it
+        # there (and in its cached nodes) rather than on the new root.
+        if self._pending:
+            self.flush()
+        self._root_node = node
 
     # ------------------------------------------------------------------
     # pure hash math
@@ -137,6 +159,71 @@ class BonsaiTreeEngine:
         if tracer.enabled and tracer.detail:
             tracer.emit("integrity.check", tree="bonsai", ok=ok)
         return ok
+
+    # ------------------------------------------------------------------
+    # deferred eager propagation
+    # ------------------------------------------------------------------
+
+    def defer(
+        self,
+        counter_address: int,
+        block: Any,
+        steps: Sequence[Any],
+        nodes: Sequence[BonsaiNode],
+    ) -> None:
+        """Record that ``block`` changed; hash its path at :meth:`flush`.
+
+        ``steps`` is the counter's ``path_to_root`` and ``nodes`` its
+        stored ancestors (``steps[1:-1]``), bottom-up.  The record holds
+        the objects themselves, so a flush stays correct after the
+        caches that held them were dropped.  A counter already pending
+        keeps its first record: until the next flush its ancestors
+        cannot be evicted (every fill flushes first), so the objects
+        are the same.
+        """
+        if counter_address not in self._pending:
+            self._pending[counter_address] = (block, steps, nodes)
+
+    def flush(self) -> None:
+        """Land every deferred counter update in the tree and the root.
+
+        Eager updates re-hash a counter's whole path on every write;
+        the intermediate hashes are unobservable until the next flush,
+        so one bottom-up pass lands the identical final state:
+        ``set_child_hash`` is last-writer-wins per (node, slot), and
+        going level by level -- every pending counter hashed once, then
+        every touched parent hashed once from its *current* bytes, and
+        so on to the root -- hashes each shared ancestor exactly once,
+        strictly after all its children's slots are set.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        block_hash = self.block_hash
+        root = self._root_node
+        #: ancestor address -> (steps, nodes, its position in nodes)
+        frontier: Dict[int, tuple] = {}
+        for block, steps, nodes in pending.values():
+            child_hash = block_hash(block.to_bytes())
+            if nodes:
+                nodes[0].set_child_hash(steps[1].child_slot, child_hash)
+                frontier[steps[1].address] = (steps, nodes, 0)
+            else:
+                root.set_child_hash(steps[1].child_slot, child_hash)
+        while frontier:
+            upper: Dict[int, tuple] = {}
+            for steps, nodes, position in frontier.values():
+                child_hash = block_hash(nodes[position].to_bytes())
+                above = position + 1
+                if above < len(nodes):
+                    nodes[above].set_child_hash(
+                        steps[above + 1].child_slot, child_hash
+                    )
+                    upper[steps[above + 1].address] = (steps, nodes, above)
+                else:
+                    root.set_child_hash(steps[above + 1].child_slot, child_hash)
+            frontier = upper
+        pending.clear()
 
     # ------------------------------------------------------------------
     # root maintenance (eager update scheme keeps this current)

@@ -68,6 +68,14 @@ def resolve_batch_mode(explicit: Optional[str]) -> str:
     return explicit
 
 
+def _flush_deferred(controller) -> None:
+    """Land host-side deferred metadata updates, if the controller has
+    any (Bonsai eager tree hashing), so its caches show eager state."""
+    flush = getattr(controller, "flush_deferred", None)
+    if flush is not None:
+        flush()
+
+
 def replay(
     controller: SecureMemoryController,
     trace: Trace,
@@ -86,26 +94,32 @@ def replay(
         a full functional check, slower but used widely in tests.
 
     Returns the (possibly updated) oracle mapping address -> plaintext.
+    On return, raised errors included, the controller has landed any
+    deferred metadata updates, so callers that inspect its caches see
+    the undeferred state.
     """
     shadow: Dict[int, bytes] = oracle if oracle is not None else {}
     # Never-written lines read back as zeros of the *configured* block
     # size; hard-coding 64 here made every non-64B geometry report
     # phantom IntegrityErrors on cold reads.
     blank = bytes(controller.config.memory.block_size)
-    for request in trace:
-        if request.op == Op.WRITE:
-            controller.access(request)
-            shadow[request.address] = request.data
-        else:
-            data = controller.access(request)
-            if check_reads:
-                expected = shadow.get(request.address, blank)
-                if data != expected:
-                    raise IntegrityError(
-                        f"replay mismatch at {request.address:#x}: "
-                        f"controller returned different plaintext than "
-                        f"the oracle"
-                    )
+    try:
+        for request in trace:
+            if request.op == Op.WRITE:
+                controller.access(request)
+                shadow[request.address] = request.data
+            else:
+                data = controller.access(request)
+                if check_reads:
+                    expected = shadow.get(request.address, blank)
+                    if data != expected:
+                        raise IntegrityError(
+                            f"replay mismatch at {request.address:#x}: "
+                            f"controller returned different plaintext "
+                            f"than the oracle"
+                        )
+    finally:
+        _flush_deferred(controller)
     return shadow
 
 
@@ -213,7 +227,8 @@ def replay_batched(
 
     The result — oracle content, controller state, statistics, timing,
     raised errors — is identical to :func:`replay` for every supported
-    configuration; unsupported ones silently run scalar.
+    configuration; unsupported ones silently run scalar.  As after
+    :func:`replay`, deferred metadata updates have landed on return.
     """
     from repro.controller.batch import (
         DEFAULT_CHUNK,
@@ -257,28 +272,33 @@ def replay_batched(
     columns = None
     if mode != "off" and not check_reads and batch_supported(controller):
         columns = trace.to_columns()
-    if columns is None:
-        _replay_range(
-            controller, trace, shadow, blank, check_reads, start, stop
-        )
-        return shadow
-
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK
-    position = start
-    for lo, hi in _merge_windows(scalar_windows, total):
-        lo = max(lo, start)
-        hi = min(hi, stop)
-        if hi <= lo:
-            continue
-        if position < lo:
-            run_batched_range(
-                controller, columns, position, lo, shadow, chunk_size, mode
+    try:
+        if columns is None:
+            _replay_range(
+                controller, trace, shadow, blank, check_reads, start, stop
             )
-        _replay_range(controller, trace, shadow, blank, check_reads, lo, hi)
-        position = hi
-    if position < stop:
-        run_batched_range(
-            controller, columns, position, stop, shadow, chunk_size, mode
-        )
+            return shadow
+        if chunk_size is None:
+            chunk_size = DEFAULT_CHUNK
+        position = start
+        for lo, hi in _merge_windows(scalar_windows, total):
+            lo = max(lo, start)
+            hi = min(hi, stop)
+            if hi <= lo:
+                continue
+            if position < lo:
+                run_batched_range(
+                    controller, columns, position, lo, shadow, chunk_size,
+                    mode,
+                )
+            _replay_range(
+                controller, trace, shadow, blank, check_reads, lo, hi
+            )
+            position = hi
+        if position < stop:
+            run_batched_range(
+                controller, columns, position, stop, shadow, chunk_size, mode
+            )
+    finally:
+        _flush_deferred(controller)
     return shadow
