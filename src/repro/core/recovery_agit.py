@@ -108,11 +108,8 @@ class AgitRecovery:
     ) -> Set[int]:
         """Collect the tracked addresses from a shadow region in NVM."""
         addresses: Set[int] = set()
-        for group in range(region.num_blocks):
-            block_address = region.block_address(group)
-            if not self.nvm.is_written(block_address):
-                continue  # never-used group: nothing tracked
-            raw = self.nvm.peek(block_address)
+        # Never-used groups track nothing and are skipped.
+        for _address, raw in self.nvm.written(region.base, region.end):
             report.memory_reads += 1
             for tracked in ShadowAddressTable.parse_block(raw):
                 if tracked:
@@ -155,16 +152,16 @@ class AgitRecovery:
         report.memory_reads += 1
         block = SplitCounterBlock.from_bytes(raw)
         region_index = self.layout.counter_region.block_index(counter_address)
-        first_line = region_index * self.layout.lines_per_counter_block
+        lines = self.layout.lines_per_counter_block
         block_size = self.config.memory.block_size
+        first_address = region_index * lines * block_size
         changed = False
-        for offset in range(self.layout.lines_per_counter_block):
-            line_address = (first_line + offset) * block_size
-            if not self.nvm.is_written(line_address):
-                # Never written => its true counter is still zero; the
-                # stale copy cannot disagree.
-                continue
-            cipher = self.nvm.peek(line_address)
+        # A never-written line's true counter is still zero; the stale
+        # copy cannot disagree, so only written lines are tried.
+        for line_address, cipher in self.nvm.written(
+            first_address, first_address + lines * block_size
+        ):
+            offset = (line_address - first_address) // block_size
             sideband = self.nvm.read_ecc(line_address)
             report.memory_reads += 1
             recovered = self._osiris_trial(
@@ -232,12 +229,11 @@ class AgitRecovery:
             plaintext, opened = self.ctr.decrypt_with_ecc(
                 cipher, sideband, line_address, block.major, candidate
             )
-            if self.codec.is_sane(plaintext, opened[:ECC_BYTES]):
-                return candidate
-            # A single soft-error bit flip must not make the whole
-            # system unrecoverable: accept a candidate whose decrypt is
-            # one SECDED-correctable bit away (a wrong counter produces
-            # whole-line garbage, which correction rejects).
+            # Accept a clean decrypt or, so that a single soft-error bit
+            # flip cannot make the whole system unrecoverable, one a
+            # SECDED-correctable bit away (a wrong counter produces
+            # whole-line garbage, which correction rejects).  One
+            # correct_line covers both: a clean line is its trivial case.
             corrected, _repaired = self.codec.correct_line(
                 plaintext, opened[:ECC_BYTES]
             )

@@ -17,6 +17,8 @@ Recovery:
 
 Recovery work is O(cache slots): read the ST, read one stale node per
 valid entry, occasionally one parent — no dependence on memory size.
+The report charges the full ST scan; the host itself only touches the
+ST blocks ever written (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.config import SystemConfig
+from repro.config import BLOCK_SIZE, SystemConfig
 from repro.core.asit import AsitController
 from repro.core.shadow_table import ShadowRegionTree, StEntry
 from repro.counters.sgx import SgxCounterBlock
@@ -92,24 +94,25 @@ class AsitRecovery:
     # ------------------------------------------------------------------
 
     def _verify_shadow_table(self, report: AsitRecoveryReport) -> None:
-        reads: list = []
-
-        def reader(index: int) -> bytes:
-            return self.nvm.peek(self.layout.st_entry_address(index))
-
+        # Hardware scans (and is charged for) every ST block; the host
+        # only touches the written ones — a never-written entry reads
+        # as zeros, which is the empty leaf from_leaves assumes.
+        base = self.layout.st_entry_address(0)
+        stop = self.layout.st_entry_address(self.num_slots - 1) + BLOCK_SIZE
+        self._st_blocks = [
+            ((address - base) // BLOCK_SIZE, raw)
+            for address, raw in self.nvm.written(base, stop)
+        ]
         # Keep the live tree: _commit updates it (and the persistent
         # root register) entry by entry while resetting the ST, so a
         # crash during recovery leaves register and table consistent.
-        self._live_tree = ShadowRegionTree.from_reader(
-            self.controller.keys.shadow_key,
-            self.num_slots,
-            reader,
-            tracker=reads,
+        self._live_tree = ShadowRegionTree.from_leaves(
+            self.controller.keys.shadow_key, self.num_slots, self._st_blocks
         )
         root = self._live_tree.root
-        report.st_blocks_scanned = len(reads)
-        report.memory_reads += len(reads)
-        report.hash_ops += len(reads)  # one leaf hash per block
+        report.st_blocks_scanned = self.num_slots
+        report.memory_reads += self.num_slots
+        report.hash_ops += self.num_slots  # one leaf hash per block
         report.shadow_root_matched = root == self.controller.shadow_tree_root
         if not report.shadow_root_matched:
             raise UnrecoverableError(
@@ -125,8 +128,8 @@ class AsitRecovery:
         self, report: AsitRecoveryReport
     ) -> Dict[int, SgxCounterBlock]:
         recovered: Dict[int, SgxCounterBlock] = {}
-        for slot in range(self.num_slots):
-            raw = self.nvm.peek(self.layout.st_entry_address(slot))
+        # Never-written slots are zeros: invalid, so they never raise.
+        for slot, raw in self._st_blocks:
             entry = StEntry.from_bytes(raw)
             if not entry.valid:
                 continue
@@ -205,13 +208,11 @@ class AsitRecovery:
         # leaves register and table consistent, and the rerun simply
         # re-recovers whatever entries survived (idempotently).
         empty = StEntry.invalid().to_bytes()
-        for slot in range(self.num_slots):
-            st_address = self.layout.st_entry_address(slot)
-            if self.nvm.is_written(st_address):
-                self.nvm.write(st_address, empty)
-                report.memory_writes += 1
-                report.hash_ops += self._live_tree.update(slot, empty)
-                self.controller._persistent_shadow_root = self._live_tree.root
+        for slot, _raw in self._st_blocks:
+            self.nvm.write(self.layout.st_entry_address(slot), empty)
+            report.memory_writes += 1
+            report.hash_ops += self._live_tree.update(slot, empty)
+            self.controller._persistent_shadow_root = self._live_tree.root
         # The post-reboot controller starts with an empty live shadow
         # tree that now matches NVM; retire the carried-over register.
         if hasattr(self.controller, "_persistent_shadow_root"):

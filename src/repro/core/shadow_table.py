@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
 from repro.crypto.hashes import hash64
@@ -133,10 +133,13 @@ class StEntry:
             lsbs=tuple((word >> shift) & _LSB_MASK for shift in _LSB_SHIFTS),
         )
 
-    @classmethod
-    def invalid(cls) -> "StEntry":
-        """An empty (untracked) entry."""
-        return cls(valid=False, address=0, mac=0, lsbs=(0,) * _COUNTERS)
+    @staticmethod
+    def invalid() -> "StEntry":
+        """The empty (untracked) entry — one shared frozen instance."""
+        return _INVALID_ENTRY
+
+
+_INVALID_ENTRY = StEntry(valid=False, address=0, mac=0, lsbs=(0,) * _COUNTERS)
 
 
 class ShadowRegionTree:
@@ -159,21 +162,29 @@ class ShadowRegionTree:
         self.levels: List[List[int]] = [[empty] * num_leaves]
         while len(self.levels[-1]) > 1:
             below = self.levels[-1]
-            count = (len(below) + TREE_ARITY - 1) // TREE_ARITY
-            self.levels.append([0] * count)
-        for level in range(1, len(self.levels)):
-            for index in range(len(self.levels[level])):
-                self.levels[level][index] = self._node_hash(level, index)
+            # An empty tree's child rows are all alike, save a zero-
+            # padded last one: hash each distinct row once.
+            hashes: Dict[tuple, int] = {}
+            level = []
+            for start in range(0, len(below), TREE_ARITY):
+                children = tuple(below[start : start + TREE_ARITY])
+                if children not in hashes:
+                    hashes[children] = self._children_hash(children)
+                level.append(hashes[children])
+            self.levels.append(level)
 
     def _leaf_hash(self, block: bytes) -> int:
         return hash64(self.key, block)
 
+    def _children_hash(self, children) -> int:
+        padding = (0,) * (TREE_ARITY - len(children))
+        return hash64(self.key, _NODE_PAYLOAD.pack(*children, *padding))
+
     def _node_hash(self, level: int, index: int) -> int:
         below = self.levels[level - 1]
-        children = below[index * TREE_ARITY : (index + 1) * TREE_ARITY]
-        if len(children) < TREE_ARITY:
-            children += [0] * (TREE_ARITY - len(children))
-        return hash64(self.key, _NODE_PAYLOAD.pack(*children))
+        return self._children_hash(
+            below[index * TREE_ARITY : (index + 1) * TREE_ARITY]
+        )
 
     def update(self, leaf_index: int, block: bytes) -> int:
         """Fold a new ST entry block into the tree; returns the number
@@ -195,6 +206,38 @@ class ShadowRegionTree:
         return self.levels[-1][0]
 
     @classmethod
+    def from_leaves(
+        cls,
+        key: bytes,
+        num_leaves: int,
+        leaves: Iterable[Tuple[int, bytes]],
+    ) -> "ShadowRegionTree":
+        """Build a live tree from a sparse set of ST blocks.
+
+        ``leaves`` holds ``(index, block)`` pairs; every other leaf is
+        an all-zero block — what a never-written ST entry reads as.
+        Ancestors are re-hashed once each, bottom-up, and only above
+        the given leaves, so the host work scales with the entries ever
+        written, not the table size.  Used at recovery time against
+        the NVM copy of the Shadow Table; the recovery engine keeps
+        updating the returned tree while it resets entries, so
+        SHADOW_TREE_ROOT can track the reset transactionally.
+        """
+        tree = cls(key, num_leaves)
+        dirty = set()
+        for index, block in leaves:
+            if not 0 <= index < num_leaves:
+                raise ConfigError(f"leaf {index} outside shadow tree")
+            tree.levels[0][index] = tree._leaf_hash(block)
+            dirty.add(index // TREE_ARITY)
+        for level in range(1, len(tree.levels)):
+            row = tree.levels[level]
+            for index in dirty:
+                row[index] = tree._node_hash(level, index)
+            dirty = {index // TREE_ARITY for index in dirty}
+        return tree
+
+    @classmethod
     def from_reader(
         cls,
         key: bytes,
@@ -204,31 +247,17 @@ class ShadowRegionTree:
     ) -> "ShadowRegionTree":
         """Build a live tree from ST blocks read via ``reader(index)``.
 
-        Used at recovery time against the NVM copy of the Shadow Table;
-        the recovery engine keeps updating the returned tree while it
-        resets entries, so SHADOW_TREE_ROOT can track the reset
-        transactionally.  ``tracker``, if given, receives one element
-        per block read (for recovery-time accounting).
+        Reads every leaf; :meth:`from_leaves` over all of them.
+        ``tracker``, if given, receives one element per block read.
         """
-        tree = cls.__new__(cls)
-        tree.key = key
-        tree.num_leaves = num_leaves
-        tree.levels = [[0] * num_leaves]
-        for index in range(num_leaves):
-            block = reader(index)
+        def read(index: int) -> bytes:
             if tracker is not None:
                 tracker.append(index)
-            tree.levels[0][index] = tree._leaf_hash(block)
-        while len(tree.levels[-1]) > 1:
-            below = tree.levels[-1]
-            count = (len(below) + TREE_ARITY - 1) // TREE_ARITY
-            tree.levels.append(
-                [0] * count
-            )
-            level = len(tree.levels) - 1
-            for index in range(count):
-                tree.levels[level][index] = tree._node_hash(level, index)
-        return tree
+            return reader(index)
+
+        return cls.from_leaves(
+            key, num_leaves, ((i, read(i)) for i in range(num_leaves))
+        )
 
     @classmethod
     def compute_root(

@@ -174,6 +174,37 @@ class NvmDevice:
         self._check(address)
         return address in self._blocks
 
+    def written(self, start: int, stop: int) -> List[Tuple[int, bytes]]:
+        """``(address, data)`` of every ever-written block in
+        ``[start, stop)``, ascending by address.
+
+        The range form of :meth:`is_written` + :meth:`peek`: recovery
+        scans of mostly-unwritten shadow regions cost host work in the
+        blocks written, not in the region size.  Does not count device
+        accesses.
+        """
+        if start % BLOCK_SIZE or stop % BLOCK_SIZE:
+            raise AlignmentError(
+                f"NVM range [{start:#x}, {stop:#x}) not 64B-aligned"
+            )
+        if not 0 <= start <= stop <= self.size:
+            raise LayoutError(
+                f"NVM range [{start:#x}, {stop:#x}) outside device of "
+                f"{self.size} bytes"
+            )
+        blocks = self._blocks
+        if (stop - start) // BLOCK_SIZE <= len(blocks):
+            return [
+                (address, blocks[address])
+                for address in range(start, stop, BLOCK_SIZE)
+                if address in blocks
+            ]
+        return sorted(
+            (address, data)
+            for address, data in blocks.items()
+            if start <= address < stop
+        )
+
     def write_count(self, address: int) -> int:
         """Lifetime write count of one block (endurance accounting)."""
         self._check(address)

@@ -1,6 +1,8 @@
 """Unit tests for the NVM device model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AlignmentError, LayoutError
 from repro.mem.layout import Region
@@ -183,3 +185,80 @@ class TestInjectionHooks:
     def test_stuck_at_rejects_non_binary_value(self, nvm):
         with pytest.raises(ValueError):
             nvm.inject_stuck_at(0, bit=0, value=2)
+
+
+_BLOCKS = SIZE // 64
+_addresses = st.integers(0, _BLOCKS - 1).map(lambda block: block * 64)
+_mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _addresses, st.binary(min_size=64, max_size=64)),
+        st.tuples(st.just("poke"), _addresses, st.binary(min_size=64, max_size=64)),
+        st.tuples(st.just("flip"), _addresses, st.integers(0, 511)),
+        st.tuples(st.just("snapshot"), st.just(0), st.just(None)),
+        st.tuples(st.just("restore"), st.just(0), st.just(None)),
+    ),
+    max_size=40,
+)
+
+
+class TestWrittenRange:
+    """``written(start, stop)`` is the range form of is_written + peek."""
+
+    @staticmethod
+    def _reference(nvm, start, stop):
+        return [
+            (address, nvm.peek(address))
+            for address in range(start, stop, 64)
+            if nvm.is_written(address)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mutations=_mutations,
+        bounds=st.tuples(
+            st.integers(0, _BLOCKS), st.integers(0, _BLOCKS)
+        ).map(sorted),
+    )
+    def test_matches_per_block_queries(self, mutations, bounds):
+        nvm = NvmDevice(SIZE)
+        nvm.default_provider = lambda address: b"\x11" * 64
+        saved = nvm.snapshot()
+        for op, address, arg in mutations:
+            if op == "write":
+                nvm.write(address, arg)
+            elif op == "poke":
+                nvm.poke(address, arg)
+            elif op == "flip":
+                nvm.inject_bit_flip(address, arg)
+            elif op == "snapshot":
+                saved = nvm.snapshot()
+            else:
+                nvm.restore(saved)
+        start, stop = bounds[0] * 64, bounds[1] * 64
+        reads = nvm.total_reads
+        assert nvm.written(start, stop) == self._reference(nvm, start, stop)
+        assert nvm.written(0, SIZE) == self._reference(nvm, 0, SIZE)
+        assert nvm.total_reads == reads
+
+    def test_dense_and_sparse_ranges_agree(self, nvm):
+        # A short range is probed block by block, a long one filtered
+        # from the written set; both come back ascending.
+        for address in (4096, 64, 640, 128):
+            nvm.write(address, LINE)
+        assert nvm.written(0, 192) == [(64, LINE), (128, LINE)]
+        assert nvm.written(0, SIZE) == [
+            (address, LINE) for address in (64, 128, 640, 4096)
+        ]
+        assert nvm.written(128, 128) == []
+
+    @pytest.mark.parametrize("start,stop", [(1, 64), (0, 65), (32, 96)])
+    def test_misaligned_bounds_rejected(self, nvm, start, stop):
+        with pytest.raises(AlignmentError):
+            nvm.written(start, stop)
+
+    @pytest.mark.parametrize(
+        "start,stop", [(-64, 64), (0, SIZE + 64), (128, 64), (SIZE + 64, SIZE + 128)]
+    )
+    def test_out_of_device_bounds_rejected(self, nvm, start, stop):
+        with pytest.raises(LayoutError):
+            nvm.written(start, stop)

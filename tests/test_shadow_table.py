@@ -1,9 +1,11 @@
 """Unit and property tests for the Anubis shadow-table structures."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import KIB, MIB, SchemeKind, TreeKind, default_table1_config
+from repro.controller.factory import build_controller
 from repro.core.shadow_table import (
     ShadowAddressTable,
     ShadowRegionTree,
@@ -101,6 +103,13 @@ class TestStEntry:
         assert not entry.valid
         parsed = StEntry.from_bytes(entry.to_bytes())
         assert not parsed.valid
+
+    def test_invalid_entry_is_shared_and_frozen(self):
+        entry = StEntry.invalid()
+        assert entry is StEntry.invalid()
+        assert entry.to_bytes() == bytes(64)
+        with pytest.raises(AttributeError):
+            entry.valid = True
 
     def test_valid_bit_in_alignment_bits(self):
         entry = StEntry(valid=True, address=0x1000, mac=0, lsbs=(0,) * 8)
@@ -236,7 +245,86 @@ class TestShadowRegionTree:
         with pytest.raises(ConfigError):
             ShadowRegionTree(key, 0)
 
+    def test_from_leaves_rejects_bad_index(self, key):
+        with pytest.raises(ConfigError):
+            ShadowRegionTree.from_leaves(key, 4, [(4, bytes(64))])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        num_leaves=st.integers(1, 300),
+    )
+    def test_sparse_build_matches_fold_and_dense(self, data, num_leaves):
+        """The sparse builder equals an empty tree folded leaf by leaf,
+        and a dense build over a zero-default reader."""
+        key = ProcessorKeys(1).shadow_key
+        indices = data.draw(
+            st.lists(st.integers(0, num_leaves - 1), unique=True, max_size=40)
+        )
+        blocks = data.draw(
+            st.lists(
+                st.one_of(
+                    st.binary(min_size=64, max_size=64), st.just(bytes(64))
+                ),
+                min_size=len(indices),
+                max_size=len(indices),
+            )
+        )
+        leaves = sorted(zip(indices, blocks))
+        sparse = ShadowRegionTree.from_leaves(key, num_leaves, leaves)
+
+        folded = ShadowRegionTree(key, num_leaves)
+        for index, block in leaves:
+            folded.update(index, block)
+        assert sparse.levels == folded.levels
+
+        contents = dict(leaves)
+        dense = ShadowRegionTree.compute_root(
+            key, num_leaves, lambda i: contents.get(i, bytes(64))
+        )
+        assert sparse.root == dense
+
+    @pytest.mark.parametrize("num_leaves", [1, 7, 8, 9, 64, 65, 1024])
+    def test_empty_tree_matches_per_node_hashing(self, key, num_leaves):
+        """Hashing each distinct child row once builds the same tree as
+        hashing every node."""
+        tree = ShadowRegionTree(key, num_leaves)
+        for level in range(1, len(tree.levels)):
+            assert tree.levels[level] == [
+                tree._node_hash(level, index)
+                for index in range(len(tree.levels[level]))
+            ]
+
     def test_keyed(self):
         tree_a = ShadowRegionTree(ProcessorKeys(1).shadow_key, 8)
         tree_b = ShadowRegionTree(ProcessorKeys(2).shadow_key, 8)
         assert tree_a.root != tree_b.root
+
+
+class TestShadowRegionsReadZero:
+    """Precondition of the sparse recovery scans: a never-written SCT,
+    SMT or ST block reads as zeros on every tree, whatever default the
+    tree engine installs for its own regions."""
+
+    @pytest.mark.parametrize(
+        "scheme,tree",
+        [
+            (SchemeKind.AGIT_PLUS, TreeKind.BONSAI),
+            (SchemeKind.WRITE_BACK, TreeKind.BONSAI),
+            (SchemeKind.ASIT, TreeKind.SGX),
+            (SchemeKind.WRITE_BACK, TreeKind.SGX),
+        ],
+    )
+    @pytest.mark.parametrize("capacity", [4 * MIB, 256 * MIB])
+    def test_fresh_system_shadow_blocks_are_zero(self, scheme, tree, capacity):
+        config = default_table1_config(
+            scheme, tree, capacity_bytes=capacity
+        ).with_cache_size(32 * KIB)
+        controller = build_controller(config, keys=ProcessorKeys(1))
+        nvm, layout = controller.nvm, controller.layout
+        for region in (layout.sct, layout.smt, layout.st):
+            assert nvm.written(region.base, region.end) == []
+            assert all(
+                nvm.peek(address) == bytes(64)
+                for address in range(region.base, region.end, 64)
+            ), region.name
