@@ -39,7 +39,6 @@ from repro.attacks.campaign import (
     AttackCampaignConfig,
     AttackCampaignResult,
     AttackTrial,
-    attack_campaign_fingerprint,
     format_attack_matrix,
     format_attack_summary,
     open_attack_journal,
@@ -66,7 +65,6 @@ __all__ = [
     "SUPPORTED_SYSTEMS",
     "TreeNodeReplayAttack",
     "Verdict",
-    "attack_campaign_fingerprint",
     "attack_catalogue",
     "catalogue_listing",
     "default_oracle",

@@ -35,7 +35,6 @@ from repro.faults.campaign import (
     Outcome,
     TrialResult,
     _build_plan,
-    campaign_fingerprint,
     open_campaign_journal,
     run_campaign,
 )
@@ -98,12 +97,6 @@ def _fault_campaign(attack: AttackCampaignConfig) -> CampaignConfig:
         nested_crash_fraction=0.0,
         catalogue=catalogue,
     )
-
-
-def attack_campaign_fingerprint(attack: AttackCampaignConfig) -> str:
-    """Work identity — delegates to the fault-campaign fingerprint
-    (the catalogue's model names already identify the attack set)."""
-    return campaign_fingerprint(_fault_campaign(attack))
 
 
 def open_attack_journal(

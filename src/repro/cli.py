@@ -58,6 +58,9 @@ from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ReproError
 from repro.sim.engine import run_simulation
+from repro.sim.parallel import ParallelSweepExecutor
+from repro.sim.result_cache import result_cache_from_args
+from repro.telemetry.runtime import RunCollector, TelemetrySpec
 from repro.traces.io import write_trace
 from repro.traces.profiles import profile, profile_names
 from repro.traces.synthetic import generate_trace
@@ -125,7 +128,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     trace = generate_trace(
         profile(args.workload), args.length, seed=args.seed
     )
-    result = run_simulation(config, trace, keys, batch=args.batch)
+    result = run_simulation(config, trace, keys, batch=args.batch or "auto")
     print(f"workload       : {trace}")
     print(f"scheme         : {config.scheme.value} ({config.tree.value})")
     print(f"elapsed        : {result.elapsed_ns / 1e6:.3f} ms "
@@ -447,9 +450,10 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="content-addressed result cache: restore completed trials "
-        "from prior runs and store fresh ones (default: "
-        "$REPRO_RESULT_CACHE if set, else no cache)",
+        help="content-addressed result cache: reuse any grid cell or "
+        "campaign trial whose config/trace/seed already completed in a "
+        "prior run, and store fresh ones (default: $REPRO_RESULT_CACHE "
+        "if set, else no cache); warm output is byte-identical to cold",
     )
     parser.add_argument(
         "--no-result-cache",
@@ -485,30 +489,65 @@ def _add_batch_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_result_cache(args: argparse.Namespace):
-    """The run's result cache per flags/environment, or None."""
-    from repro.sim.result_cache import ResultCache, derive_cache_stamp
-
-    if getattr(args, "no_result_cache", False):
-        return None
-    directory = getattr(args, "cache_dir", None) or os.environ.get(
-        "REPRO_RESULT_CACHE"
+def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The run-setting flags of ``repro faults``, ``repro attack`` and
+    ``python -m repro.experiments``; :func:`executor_from_args` turns
+    them into the run's executor."""
+    parser.add_argument(
+        "--jobs",
+        metavar="N",
+        default="1",
+        help="worker processes for sweep cells and campaign trials "
+        "('auto' = one per core; default: 1, fully serial); output is "
+        "identical for any job count",
     )
-    if not directory:
-        return None
-    stamp = getattr(args, "cache_stamp", None) or os.environ.get(
-        "REPRO_CACHE_STAMP"
-    ) or None
-    if stamp == "auto":
-        stamp = derive_cache_stamp()
-        if stamp is None:
-            print(
-                "warning: --cache-stamp auto found neither an installed "
-                "package version nor a git revision; using version-"
-                "agnostic cache keys",
-                file=sys.stderr,
-            )
-    return ResultCache(directory, code_stamp=stamp)
+    parser.add_argument(
+        "--resume",
+        metavar="DIR",
+        default=None,
+        help="checkpoint directory: journal completed work there and "
+        "skip work already journaled, so an interrupted run re-run with "
+        "the same DIR finishes the rest and produces output identical "
+        "to an uninterrupted run (also writes the result artifact "
+        "there)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        metavar="SECONDS",
+        default=None,
+        help="per-task timeout (one grid cell or trial slice); hung or "
+        "killed workers are torn down and their work retried "
+        "(default: no limit)",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        metavar="N",
+        default=2,
+        help="retry rounds for failed worker tasks before degrading to "
+        "in-process execution (default: 2)",
+    )
+    _add_cache_arguments(parser)
+    _add_batch_argument(parser)
+
+
+def executor_from_args(
+    args: argparse.Namespace,
+    telemetry: Optional[TelemetrySpec] = None,
+    collector: Optional[RunCollector] = None,
+) -> ParallelSweepExecutor:
+    """The run's executor from the :func:`add_execution_arguments`
+    flags, carrying the run's telemetry when given."""
+    return ParallelSweepExecutor(
+        args.jobs,
+        timeout=args.timeout,
+        retries=args.retries,
+        batch=args.batch or "auto",
+        telemetry=telemetry,
+        collector=collector,
+        cache=result_cache_from_args(args),
+    )
 
 
 def _print_cache_traffic(cache) -> None:
@@ -534,9 +573,6 @@ def _command_faults(args: argparse.Namespace) -> int:
     from repro.faults import CampaignConfig, Outcome, run_campaign
     from repro.faults.report import format_matrix, format_summary
     from repro.sim.checkpoint import write_artifact
-    from repro.sim.parallel import ParallelSweepExecutor
-    from repro.sim.result_cache import configure_result_cache
-    from repro.traces.replay import active_batch_mode, configure_batch_mode
 
     config = _resolve_faults_system(args)
     campaign = CampaignConfig(
@@ -549,20 +585,10 @@ def _command_faults(args: argparse.Namespace) -> int:
         probe_reads=args.probe_reads,
         nested_crash_fraction=args.nested_fraction,
     )
-    executor = ParallelSweepExecutor(
-        args.jobs, timeout=args.timeout, retries=args.retries
+    executor = executor_from_args(args)
+    result = run_campaign(
+        campaign, checkpoint_dir=args.resume, executor=executor
     )
-    cache = configure_result_cache(_resolve_result_cache(args))
-    previous_batch = active_batch_mode()
-    if args.batch is not None:
-        configure_batch_mode(args.batch)
-    try:
-        result = run_campaign(
-            campaign, checkpoint_dir=args.resume, executor=executor
-        )
-    finally:
-        configure_result_cache(None)
-        configure_batch_mode(previous_batch)
     print(format_summary(result))
     print()
     print(format_matrix(result))
@@ -584,8 +610,8 @@ def _command_faults(args: argparse.Namespace) -> int:
         artifact = os.path.join(args.resume, "campaign.json")
         write_artifact(artifact, result.to_dict(), kind="fault-campaign")
         print(f"\ncampaign artifact written to {artifact}")
-    if cache is not None:
-        _print_cache_traffic(cache)
+    if executor.cache is not None:
+        _print_cache_traffic(executor.cache)
     if silent and not args.allow_silent:
         print(
             f"\nFAIL: {len(silent)} silent-corruption trial(s) — this "
@@ -613,9 +639,6 @@ def _command_attack(args: argparse.Namespace) -> int:
     )
     from repro.faults.models import WINDOW_AT_CRASH, WINDOW_MID_RECOVERY
     from repro.sim.checkpoint import write_artifact
-    from repro.sim.parallel import ParallelSweepExecutor
-    from repro.sim.result_cache import configure_result_cache
-    from repro.traces.replay import active_batch_mode, configure_batch_mode
 
     if args.list:
         rows = [("attack class", "windows", "description")] + [
@@ -647,20 +670,10 @@ def _command_attack(args: argparse.Namespace) -> int:
         probe_reads=args.probe_reads,
         windows=windows,
     )
-    executor = ParallelSweepExecutor(
-        args.jobs, timeout=args.timeout, retries=args.retries
+    executor = executor_from_args(args)
+    result = run_attack_campaign(
+        campaign, checkpoint_dir=args.resume, executor=executor
     )
-    cache = configure_result_cache(_resolve_result_cache(args))
-    previous_batch = active_batch_mode()
-    if args.batch is not None:
-        configure_batch_mode(args.batch)
-    try:
-        result = run_attack_campaign(
-            campaign, checkpoint_dir=args.resume, executor=executor
-        )
-    finally:
-        configure_result_cache(None)
-        configure_batch_mode(previous_batch)
     print(format_attack_summary(result))
     print()
     print(format_attack_matrix(result))
@@ -679,8 +692,8 @@ def _command_attack(args: argparse.Namespace) -> int:
         artifact = os.path.join(args.resume, "attack_campaign.json")
         write_artifact(artifact, result.to_dict(), kind="attack-campaign")
         print(f"\nattack-campaign artifact written to {artifact}")
-    if cache is not None:
-        _print_cache_traffic(cache)
+    if executor.cache is not None:
+        _print_cache_traffic(executor.cache)
     if violations and not args.allow_violations:
         print(
             f"\nFAIL: {len(violations)} trial(s) contradict the declared "
@@ -1156,41 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 0 even when trials classify RECOVERY_FAILED",
     )
-    faults.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for the trials ('auto' = one per core; "
-        "the coverage matrix is identical for any job count)",
-    )
-    faults.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: journal every completed trial there "
-        "and skip trials already journaled, so an interrupted campaign "
-        "re-run with the same DIR finishes the remaining work and "
-        "produces output identical to an uninterrupted run (also writes "
-        "DIR/campaign.json)",
-    )
-    faults.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-trial-slice timeout; hung or killed workers are "
-        "detected, torn down, and their work retried (default: no limit)",
-    )
-    faults.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retry rounds for failed worker slices before degrading to "
-        "in-process execution (default: 2)",
-    )
-    _add_cache_arguments(faults)
-    _add_batch_argument(faults)
+    add_execution_arguments(faults)
     faults.set_defaults(handler=_command_faults)
 
     attack = commands.add_parser(
@@ -1261,37 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 0 even when trials contradict the declared claims "
         "(debugging only)",
     )
-    attack.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for the trials ('auto' = one per core; "
-        "verdicts are identical for any job count)",
-    )
-    attack.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: journal every completed trial and "
-        "skip journaled trials on re-run (also writes "
-        "DIR/attack_campaign.json)",
-    )
-    attack.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-trial-slice timeout (default: no limit)",
-    )
-    attack.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retry rounds for failed worker slices (default: 2)",
-    )
-    _add_cache_arguments(attack)
-    _add_batch_argument(attack)
+    add_execution_arguments(attack)
     attack.set_defaults(handler=_command_attack)
 
     cache = commands.add_parser(

@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.config import KIB, MIB, SchemeKind, TreeKind, default_table1_config
 from repro.faults.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.faults.report import format_comparison, format_matrix
+from repro.sim.parallel import ParallelSweepExecutor
 
 #: (scheme, tree) campaigns, protected schemes first, control last.
 CAMPAIGNS = [
@@ -60,12 +61,12 @@ def run(
     seed: int = 0,
     capacity_bytes: int = 256 * MIB,
     cache_bytes: int = 32 * KIB,
-    jobs: int = 1,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> FaultCoverageResult:
     """Run the campaign for each scheme under identical settings.
 
-    ``jobs`` fans each campaign's trials over worker processes; the
-    coverage matrices are identical for any job count.
+    ``executor`` runs each campaign's trials with the run's settings;
+    the coverage matrices are identical for any job count.
     """
     results = []
     for scheme, tree in CAMPAIGNS:
@@ -78,7 +79,7 @@ def run(
             trials=trials,
             trace_length=trace_length,
         )
-        results.append(run_campaign(campaign, jobs=jobs))
+        results.append(run_campaign(campaign, executor=executor))
     return FaultCoverageResult(results=results, trials=trials, seed=seed)
 
 

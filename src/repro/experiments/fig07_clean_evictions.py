@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from repro.config import SchemeKind, TreeKind, default_table1_config
 from repro.crypto.keys import ProcessorKeys
 from repro.experiments.reporting import collect, format_markdown_table
+from repro.sim.parallel import ParallelSweepExecutor
 from repro.traces.profiles import profile, profile_names
 from repro.traces.synthetic import generate_trace
 
@@ -42,7 +43,7 @@ def run(
     trace_length: int = 20_000,
     seed: int = 0,
     counter_cache_bytes: int = 8 * 1024,
-    jobs: int = 1,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> Fig07Result:
     """Measure the eviction split on the write-back baseline.
 
@@ -62,7 +63,7 @@ def run(
         generate_trace(profile(name), trace_length, seed=seed)
         for name in names
     ]
-    run = collect([(config, trace) for trace in traces], keys, jobs)
+    run = collect([(config, trace) for trace in traces], keys, executor)
     clean = dict(
         zip(names, run.column("counter_cache.evictions_clean", int))
     )

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from repro.config import SchemeKind, TreeKind, default_table1_config
 from repro.crypto.keys import ProcessorKeys
 from repro.experiments.reporting import collect, format_markdown_table
+from repro.sim.parallel import ParallelSweepExecutor
 from repro.sim.results import SchemeComparison
 from repro.traces.profiles import profile, profile_names
 from repro.traces.synthetic import generate_trace
@@ -47,12 +48,12 @@ def run(
     benchmarks: Optional[List[str]] = None,
     trace_length: int = 20_000,
     seed: int = 0,
-    jobs: int = 1,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> Fig11Result:
     """Replay every benchmark under every SGX scheme.
 
-    ``jobs`` fans the benchmark × scheme grid over worker processes;
-    results are identical to a serial run.
+    ``executor`` runs the benchmark × scheme grid with the run's
+    settings; results are identical to a serial run.
     """
     names = benchmarks if benchmarks is not None else profile_names()
     keys = ProcessorKeys(seed)
@@ -68,7 +69,7 @@ def run(
             for scheme in SCHEMES
         ],
         keys,
-        jobs,
+        executor,
     )
     return Fig11Result(
         comparisons=run.comparisons(SCHEMES),

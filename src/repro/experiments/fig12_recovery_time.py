@@ -32,6 +32,7 @@ from repro.core.recovery_time import (
 from repro.crypto.keys import ProcessorKeys
 from repro.experiments.reporting import format_markdown_table, format_seconds
 from repro.recovery.crash import crash, reincarnate
+from repro.sim.parallel import ParallelSweepExecutor
 from repro.traces.profiles import profile
 from repro.traces.replay import replay_batched
 from repro.traces.synthetic import generate_trace
@@ -74,8 +75,10 @@ def run(
     functional: bool = False,
     trace_length: int = 8_000,
     seed: int = 0,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> Fig12Result:
-    """Sweep cache sizes; optionally run real crash-recovery cycles."""
+    """Sweep cache sizes; optionally run real crash-recovery cycles,
+    warmed up in ``executor``'s batch mode."""
     sizes = list(cache_sizes) if cache_sizes is not None else DEFAULT_CACHE_SIZES
     result = Fig12Result(cache_sizes=sizes)
     for size in sizes:
@@ -84,36 +87,37 @@ def run(
         result.agit_breakdown[size] = agit_recovery_breakdown(size, size)
         result.asit_breakdown[size] = asit_recovery_breakdown(2 * size)
     if functional:
+        batch = "auto" if executor is None else executor.batch
         keys = ProcessorKeys(seed)
         trace = generate_trace(profile("libquantum"), trace_length, seed=seed)
         for size in sizes:
-            seconds, phases = _functional_agit(trace, size, keys)
+            seconds, phases = _functional_agit(trace, size, keys, batch)
             result.agit_functional[size] = seconds
             result.agit_functional_phases[size] = phases
-            seconds, phases = _functional_asit(trace, size, keys)
+            seconds, phases = _functional_asit(trace, size, keys, batch)
             result.asit_functional[size] = seconds
             result.asit_functional_phases[size] = phases
     return result
 
 
-def _functional_agit(trace, cache_size: int, keys: ProcessorKeys):
+def _functional_agit(trace, cache_size: int, keys: ProcessorKeys, batch: str):
     config = default_table1_config(
         SchemeKind.AGIT_PLUS, TreeKind.BONSAI
     ).with_cache_size(cache_size)
     controller = build_controller(config, keys=keys)
-    replay_batched(controller, trace)
+    replay_batched(controller, trace, batch=batch)
     crash(controller)
     reborn = reincarnate(controller)
     report = AgitRecovery(reborn.nvm, reborn.layout, reborn).run()
     return report.estimated_seconds(), report.breakdown_seconds()
 
 
-def _functional_asit(trace, cache_size: int, keys: ProcessorKeys):
+def _functional_asit(trace, cache_size: int, keys: ProcessorKeys, batch: str):
     config = default_table1_config(
         SchemeKind.ASIT, TreeKind.SGX
     ).with_cache_size(cache_size)
     controller = build_controller(config, keys=keys)
-    replay_batched(controller, trace)
+    replay_batched(controller, trace, batch=batch)
     crash(controller)
     reborn = reincarnate(controller)
     report = AsitRecovery(reborn.nvm, reborn.layout, reborn).run()

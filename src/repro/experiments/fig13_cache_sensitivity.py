@@ -20,6 +20,7 @@ from repro.config import (
 )
 from repro.crypto.keys import ProcessorKeys
 from repro.experiments.reporting import collect, format_markdown_table
+from repro.sim.parallel import ParallelSweepExecutor
 from repro.traces.profiles import MIB, SPEC_PROFILES, SyntheticProfile
 from repro.traces.synthetic import generate_trace
 
@@ -74,13 +75,13 @@ def run(
     cache_sizes: Optional[List[int]] = None,
     trace_length: int = 25_000,
     seed: int = 0,
-    jobs: int = 1,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> Fig13Result:
     """Sweep cache sizes for each Anubis scheme on one workload.
 
     The default is the dedicated :data:`SWEEP_PROFILE`; any SPEC-like
-    profile name is also accepted.  ``jobs`` fans the (scheme, size)
-    grid — two simulations per point — over worker processes.
+    profile name is also accepted.  ``executor`` runs the (scheme,
+    size) grid — two simulations per point — with the run's settings.
     """
     sizes = list(cache_sizes) if cache_sizes is not None else DEFAULT_CACHE_SIZES
     keys = ProcessorKeys(seed)
@@ -99,7 +100,7 @@ def run(
             ).with_cache_size(size)
             cells.append((base_config, trace))
             cells.append((base_config.with_scheme(scheme), trace))
-    pairs = collect(cells, keys, jobs).chunked(2)
+    pairs = collect(cells, keys, executor).chunked(2)
     cursor = 0
     for scheme, _tree in SERIES:
         series: Dict[int, float] = {}

@@ -12,7 +12,7 @@ scheme comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SchemeKind
 from repro.crypto.keys import ProcessorKeys
@@ -100,17 +100,16 @@ class CollectedRun:
 def collect(
     cells: Sequence[SimCell],
     keys: Optional[ProcessorKeys] = None,
-    jobs: Union[int, str, None] = 1,
     executor: Optional[ParallelSweepExecutor] = None,
 ) -> CollectedRun:
     """Run an experiment grid and return its sliceable results.
 
-    ``jobs`` fans the cells over worker processes (results stay in
-    deterministic cell order); pass a preconfigured ``executor``
-    instead to control supervision knobs.
+    ``executor`` carries the run's settings (workers, supervision,
+    batch mode, telemetry, result cache); results stay in
+    deterministic cell order.  None runs serially with defaults.
     """
     if executor is None:
-        executor = ParallelSweepExecutor(jobs)
+        executor = ParallelSweepExecutor(1)
     cell_list = list(cells)
     with span("experiment.collect"):
         results = executor.run_simulations(cell_list, keys)

@@ -29,24 +29,19 @@ import sys
 import time
 from typing import Callable, Dict, Optional
 
+from repro.cli import add_execution_arguments, executor_from_args
 from repro.sim.checkpoint import (
     CheckpointJournal,
     atomic_write_json,
     fingerprint,
     write_artifact,
 )
-from repro.sim.parallel import configure_executor_defaults, resolve_jobs
-from repro.sim.result_cache import ResultCache, configure_result_cache
+from repro.sim.parallel import ParallelSweepExecutor
 from repro.telemetry.runtime import (
+    RunCollector,
     TelemetrySpec,
     build_manifest,
-    configure_telemetry,
     write_manifest,
-)
-from repro.traces.replay import (
-    BATCH_MODES,
-    active_batch_mode,
-    configure_batch_mode,
 )
 
 from repro.experiments import (
@@ -63,7 +58,9 @@ from repro.experiments import (
 )
 
 
-def _run_fig05(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fig05(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = fig05_recovery_osiris.run()
     print("Figure 5 — Osiris recovery time vs memory size", file=out)
@@ -83,10 +80,12 @@ def _run_fig05(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig07(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fig07(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = fig07_clean_evictions.run(
-        trace_length=40_000 if full else 12_000, jobs=jobs
+        trace_length=40_000 if full else 12_000, executor=executor
     )
     print("Figure 7 — counter-cache eviction split (write-back baseline)", file=out)
     print(fig07_clean_evictions.format_table(result), file=out)
@@ -97,10 +96,12 @@ def _run_fig07(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig10(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fig10(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = fig10_agit_perf.run(
-        trace_length=30_000 if full else 10_000, jobs=jobs
+        trace_length=30_000 if full else 10_000, executor=executor
     )
     print("Figure 10 — AGIT performance (normalized to write-back)", file=out)
     print(fig10_agit_perf.format_table(result), file=out)
@@ -118,10 +119,12 @@ def _run_fig10(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig11(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fig11(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = fig11_asit_perf.run(
-        trace_length=30_000 if full else 10_000, jobs=jobs
+        trace_length=30_000 if full else 10_000, executor=executor
     )
     print("Figure 11 — ASIT performance (normalized to write-back)", file=out)
     print(fig11_asit_perf.format_table(result), file=out)
@@ -136,9 +139,11 @@ def _run_fig11(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig12(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fig12(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
-    result = fig12_recovery_time.run(functional=full)
+    result = fig12_recovery_time.run(functional=full, executor=executor)
     print("Figure 12 — Anubis recovery time vs metadata cache size", file=out)
     print(fig12_recovery_time.format_table(result), file=out)
     return {
@@ -177,10 +182,12 @@ def _run_fig12(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fig13(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fig13(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = fig13_cache_sensitivity.run(
-        trace_length=20_000 if full else 8_000, jobs=jobs
+        trace_length=20_000 if full else 8_000, executor=executor
     )
     print(f"Figure 13 — cache-size sensitivity ({result.benchmark})", file=out)
     print(fig13_cache_sensitivity.format_table(result), file=out)
@@ -192,7 +199,9 @@ def _run_fig13(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_headline(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_headline(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = headline.run()
     print("Headline — recovery-time comparison", file=out)
@@ -204,7 +213,9 @@ def _run_headline(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_dirty_footprint(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_dirty_footprint(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     footprints = None if full else [64, 256, 1024, 2048]
     result = extra_dirty_footprint.run(footprints=footprints)
@@ -222,10 +233,12 @@ def _run_dirty_footprint(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_fault_coverage(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_fault_coverage(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = extra_fault_coverage.run(
-        trials=240 if full else 60, jobs=jobs
+        trials=240 if full else 60, executor=executor
     )
     print("Extra — fault-injection coverage by scheme", file=out)
     print(extra_fault_coverage.format_table(result), file=out)
@@ -235,12 +248,14 @@ def _run_fault_coverage(full: bool, jobs: int = 1, out=None) -> dict:
     }
 
 
-def _run_security_matrix(full: bool, jobs: int = 1, out=None) -> dict:
+def _run_security_matrix(
+    full: bool, executor: ParallelSweepExecutor, out=None
+) -> dict:
     out = out if out is not None else sys.stdout
     result = security_matrix.run(
         trace_length=2_000 if full else 1_200,
         num_crash_points=4 if full else 3,
-        jobs=jobs,
+        executor=executor,
     )
     print("Extra — scheme x attack security matrix", file=out)
     print(security_matrix.format_table(result), file=out)
@@ -263,8 +278,8 @@ EXPERIMENTS: Dict[str, Callable[..., dict]] = {
 }
 
 
-def main(argv=None) -> int:
-    """Entry point for ``python -m repro.experiments``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.experiments`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the Anubis paper's figures.",
@@ -286,37 +301,7 @@ def main(argv=None) -> int:
         default=None,
         help="also write structured results to a JSON file",
     )
-    parser.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for sweep grids and campaign trials "
-        "('auto' = one per core; default: 1, fully serial)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint directory: journal each finished experiment "
-        "there and skip experiments already journaled, so interrupted "
-        "runs resume instead of restarting (also writes DIR/results.json)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="per-cell timeout for parallel grids; hung or killed "
-        "workers are torn down and retried (default: no limit)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retry rounds for failed cells before degrading to "
-        "in-process execution (default: 2)",
-    )
+    add_execution_arguments(parser)
     parser.add_argument(
         "--trace-out",
         metavar="PATH",
@@ -358,43 +343,12 @@ def main(argv=None) -> int:
         action="store_true",
         help="render a live progress line on stderr as grid cells finish",
     )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="content-addressed result cache: reuse any grid cell or "
-        "campaign trial whose config/trace/seed already completed in a "
-        "prior run, and store fresh ones (default: $REPRO_RESULT_CACHE "
-        "if set, else no cache); warm output is byte-identical to cold",
-    )
-    parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="ignore --cache-dir and $REPRO_RESULT_CACHE for this run",
-    )
-    parser.add_argument(
-        "--cache-stamp",
-        metavar="STAMP",
-        nargs="?",
-        const="auto",
-        default=None,
-        help="scope result-cache keys to a code version (e.g. a git "
-        "revision); entries written under another stamp miss instead "
-        "of replaying.  Bare --cache-stamp (or --cache-stamp auto) "
-        "derives the stamp from the installed package version or git "
-        "HEAD (default: $REPRO_CACHE_STAMP if set, else "
-        "version-agnostic keys)",
-    )
-    parser.add_argument(
-        "--batch",
-        choices=BATCH_MODES,
-        default=None,
-        help="batch replay mode for simulation cells: 'auto' "
-        "vectorizes steady-state windows, 'on' forces batching even "
-        "for mostly-cold chunks, 'off' replays request-by-request; "
-        "results are identical in all three (default: process "
-        "setting, normally auto)",
-    )
+    return parser
+
+
+def main(argv=None) -> int:
+    """Entry point for ``python -m repro.experiments``."""
+    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -403,14 +357,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "run":
         argv = argv[1:]
     args = parser.parse_args(argv)
-    jobs = resolve_jobs(args.jobs)
-    configure_executor_defaults(timeout=args.timeout, retries=args.retries)
-    # --batch changes execution strategy only, never results, so it is
-    # deliberately absent from the run fingerprint and cache keys.
-    previous_batch = active_batch_mode()
-    if args.batch is not None:
-        configure_batch_mode(args.batch)
-    cache = configure_result_cache(_resolve_cache(args))
     selected = args.experiments or list(EXPERIMENTS)
 
     run_fingerprint = fingerprint("experiments", args.full)
@@ -424,7 +370,15 @@ def main(argv=None) -> int:
             detail=args.trace_detail,
             sample_interval=sample_interval or 0,
         )
-    collector = configure_telemetry(spec, progress=args.progress)
+    collector = (
+        RunCollector(progress=args.progress)
+        if spec is not None or args.progress
+        else None
+    )
+    # --batch changes execution strategy only, never results, so it is
+    # deliberately absent from the run fingerprint and cache keys.
+    executor = executor_from_args(args, telemetry=spec, collector=collector)
+    cache = executor.cache
     started = time.perf_counter()
 
     journal: Optional[CheckpointJournal] = None
@@ -447,7 +401,7 @@ def main(argv=None) -> int:
                 continue
             start = time.time()
             print("=" * 72)
-            collected[name] = EXPERIMENTS[name](args.full, jobs)
+            collected[name] = EXPERIMENTS[name](args.full, executor)
             if journal is not None:
                 journal.record(key, collected[name])
             print(f"[{name} finished in {time.time() - start:.1f}s]\n")
@@ -456,9 +410,6 @@ def main(argv=None) -> int:
             journal.close()
         if collector is not None:
             collector.close_progress()
-        configure_telemetry(None)
-        configure_result_cache(None)
-        configure_batch_mode(previous_batch)
 
     outputs: Dict[str, str] = {}
     if args.resume:
@@ -508,7 +459,7 @@ def main(argv=None) -> int:
                 arguments={
                     "experiments": selected,
                     "full": args.full,
-                    "jobs": jobs,
+                    "jobs": executor.jobs,
                     "trace_detail": args.trace_detail,
                     "sample_interval": sample_interval or 0,
                 },
@@ -520,28 +471,6 @@ def main(argv=None) -> int:
         )
         print(f"run manifest written to {manifest_path}")
     return 0
-
-
-def _resolve_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """The run's result cache, honoring flags then the environment."""
-    if args.no_result_cache:
-        return None
-    directory = args.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
-    if not directory:
-        return None
-    stamp = args.cache_stamp or os.environ.get("REPRO_CACHE_STAMP") or None
-    if stamp == "auto":
-        from repro.sim.result_cache import derive_cache_stamp
-
-        stamp = derive_cache_stamp()
-        if stamp is None:
-            print(
-                "warning: --cache-stamp auto found neither an installed "
-                "package version nor a git revision; using version-"
-                "agnostic cache keys",
-                file=sys.stderr,
-            )
-    return ResultCache(directory, code_stamp=stamp)
 
 
 def _manifest_path(args: argparse.Namespace) -> Optional[str]:

@@ -23,7 +23,7 @@ experiment failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.config import KIB, MIB, SchemeKind, TreeKind, default_table1_config
 from repro.attacks.campaign import (
@@ -33,6 +33,7 @@ from repro.attacks.campaign import (
     run_attack_campaign,
 )
 from repro.attacks.oracle import Verdict
+from repro.sim.parallel import ParallelSweepExecutor
 
 #: (scheme, tree) systems in the matrix — paper schemes first, the
 #: known-vulnerable controls last.
@@ -86,12 +87,12 @@ def run(
     seed: int = 0,
     capacity_bytes: int = 256 * MIB,
     cache_bytes: int = 32 * KIB,
-    jobs: int = 1,
+    executor: Optional[ParallelSweepExecutor] = None,
 ) -> SecurityMatrixResult:
     """Run the exhaustive attack grid for each system.
 
-    ``jobs`` fans each campaign's trials over worker processes; the
-    matrices and verdicts are identical for any job count.
+    ``executor`` runs each campaign's trials with the run's settings;
+    the matrices and verdicts are identical for any job count.
     """
     results = []
     for scheme, tree in SYSTEMS:
@@ -105,7 +106,7 @@ def run(
             num_crash_points=num_crash_points,
             probe_reads=probe_reads,
         )
-        results.append(run_attack_campaign(campaign, jobs=jobs))
+        results.append(run_attack_campaign(campaign, executor=executor))
     return SecurityMatrixResult(results=results, seed=seed)
 
 

@@ -29,8 +29,7 @@ from repro.faults.campaign import (
     CampaignResult,
     Outcome,
     TrialResult,
-    campaign_cache_identity,
-    campaign_fingerprint,
+    campaign_identity,
     open_campaign_journal,
     run_campaign,
 )
@@ -59,8 +58,7 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "TrialResult",
-    "campaign_cache_identity",
-    "campaign_fingerprint",
+    "campaign_identity",
     "open_campaign_journal",
     "run_campaign",
     "FaultModel",

@@ -81,12 +81,7 @@ from repro.mem.wpq import WritePendingQueue
 from repro.recovery.crash import capture_chip_state, restore_chip_state, ChipState
 from repro.recovery.osiris_full import OsirisFullRecovery
 from repro.recovery.selective import SelectiveRestore
-from repro.sim.checkpoint import (
-    CheckpointJournal,
-    fingerprint,
-    full_fingerprint,
-)
-from repro.sim.result_cache import active_result_cache
+from repro.sim.checkpoint import CheckpointJournal, full_fingerprint
 from repro.sim.parallel import ParallelSweepExecutor
 from repro.telemetry.runtime import current_tracer
 from repro.traces.profiles import KIB, SyntheticProfile, profile
@@ -249,36 +244,15 @@ class CampaignConfig:
     catalogue: Optional[List[FaultModel]] = None
 
 
-def campaign_fingerprint(campaign: CampaignConfig) -> str:
-    """Deterministic identity of a campaign's *work*.
+def campaign_identity(campaign: CampaignConfig) -> str:
+    """Full-width identity of a campaign's *work*: the journal header
+    and, with the trial index, every result-cache key.
 
     Everything that changes which trials run or what they compute is
-    included; execution knobs (``jobs``, timeouts) deliberately are
-    not, so a journal written at ``--jobs 4`` resumes at ``--jobs 1``.
-    """
-    catalogue = campaign.catalogue
-    return fingerprint(
-        "fault-campaign",
-        campaign.system,
-        campaign.seed,
-        campaign.trials,
-        campaign.workload,
-        campaign.trace_length,
-        list(campaign.crash_points) if campaign.crash_points else None,
-        campaign.num_crash_points,
-        campaign.probe_reads,
-        campaign.nested_crash_fraction,
-        None if catalogue is None else [model.name for model in catalogue],
-    )
-
-
-def campaign_cache_identity(campaign: CampaignConfig) -> str:
-    """Full-width campaign identity for the content-addressed cache.
-
-    Covers the same work-defining inputs as :func:`campaign_fingerprint`
-    (which stays 16-hex for journal-header compatibility) but at the
-    full digest width, and identifies catalogue models by class, name,
-    window, and tamper flag — a cache shared across many campaigns
+    included; execution settings (``jobs``, timeouts, the batch mode)
+    deliberately are not, so a journal written at ``--jobs 4`` resumes
+    at ``--jobs 1``.  Catalogue models are identified by class, name,
+    window and tamper flag — a cache shared across many campaigns
     cannot afford name-only aliasing between custom catalogues.
     """
     catalogue = campaign.catalogue
@@ -563,8 +537,10 @@ def _warmup_images(
     plan: _CampaignPlan,
     keys: ProcessorKeys,
     layout,
+    batch: str,
 ) -> Tuple[Dict[int, _CrashImage], Optional[NvmDevice], Optional[Dict[int, bytes]]]:
-    """Replay the workload once; fork the domain at every crash point."""
+    """Replay the workload once (in batch mode ``batch``); fork the
+    domain at every crash point."""
     config = campaign.system
     requests = plan.requests
     points = plan.points
@@ -602,7 +578,7 @@ def _warmup_images(
     position = 0
     for boundary in sorted({record_at, *points}):
         replay_batched(
-            controller, warm_trace, oracle=oracle,
+            controller, warm_trace, oracle=oracle, batch=batch,
             start=position, stop=boundary,
         )
         position = boundary
@@ -611,7 +587,8 @@ def _warmup_images(
         if boundary in mark:
             take_image(boundary)
     replay_batched(
-        controller, warm_trace, oracle=oracle, start=position, stop=total
+        controller, warm_trace, oracle=oracle, batch=batch,
+        start=position, stop=total,
     )
     return images, record_nvm, record_oracle
 
@@ -620,9 +597,11 @@ def _execute_trials(
     campaign: CampaignConfig,
     plan: _CampaignPlan,
     indices: Sequence[int],
+    batch: str,
     on_trial: Optional[Callable[[TrialResult], None]] = None,
 ) -> List[TrialResult]:
-    """Warm up once, then run the given subset of the trial plan.
+    """Warm up once (in batch mode ``batch``), then run the given
+    subset of the trial plan.
 
     Each worker process (and the serial path) calls this; trials draw
     from per-index RNGs, so any partition of the indices produces the
@@ -634,7 +613,7 @@ def _execute_trials(
     keys = ProcessorKeys(campaign.seed)
     layout = build_layout(config)
     images, record_nvm, record_oracle = _warmup_images(
-        campaign, plan, keys, layout
+        campaign, plan, keys, layout, batch
     )
     trial_nvm = NvmDevice(layout.total_size)
     trials: List[TrialResult] = []
@@ -664,20 +643,13 @@ def _execute_trials(
 def _campaign_worker(payload: Tuple) -> List[TrialResult]:
     """Pool worker: rebuild the plan locally, run one index slice.
 
-    The payload is ``(campaign, indices)`` optionally extended with
-    ``(..., batch_mode)``.  Spawn workers inherit no parent globals, so
-    the parent's resolved ``--batch`` mode must ride in the payload —
-    otherwise a ``--batch off`` campaign would silently run its worker
-    warmups batched (results are identical by contract, but "off" must
-    mean off for debugging and benchmarking to be trustworthy).
+    The payload is ``(campaign, indices, batch)``: spawn workers
+    inherit nothing from the parent, so the run's batch mode rides in
+    it — "off" must mean off in every worker for debugging and
+    benchmarking to be trustworthy.
     """
-    from repro.traces.replay import configure_batch_mode
-
-    campaign, indices = payload[:2]
-    if len(payload) > 2 and payload[2] is not None:
-        configure_batch_mode(payload[2])
-    plan = _build_plan(campaign)
-    return _execute_trials(campaign, plan, indices)
+    campaign, indices, batch = payload
+    return _execute_trials(campaign, _build_plan(campaign), indices, batch)
 
 
 #: Journal key of one trial's record.
@@ -702,7 +674,7 @@ def open_campaign_journal(
     """
     return CheckpointJournal(
         os.path.join(directory, "campaign.jsonl"),
-        campaign_fingerprint(campaign),
+        campaign_identity(campaign),
     )
 
 
@@ -721,22 +693,22 @@ def run_campaign(
     and picklable, NVM snapshots are not — then runs a contiguous slice
     of trials; slices are merged in plan order, so the result matrix is
     identical for any job count.  Pass a preconfigured ``executor`` to
-    set supervision knobs (per-trial-slice timeout, retries).
+    set the run's settings instead: supervision (per-trial-slice
+    timeout, retries), the warmups' batch mode, and the result cache.
 
     ``checkpoint_dir`` makes the campaign *preemption-safe*: every
     completed trial is appended to a crash-safe journal there, and a
     re-run with the same directory (and the same campaign — enforced by
-    fingerprint) skips journaled trials and returns a result identical
-    to an uninterrupted run.
+    :func:`campaign_identity`) skips journaled trials and returns a
+    result identical to an uninterrupted run.
 
     ``on_trial`` fires once per completed trial (journaled trials
     skipped on resume do not re-fire) — the live-progress hook campaign
     watchers use.
 
-    When a result cache is configured (see
-    :func:`repro.sim.result_cache.configure_result_cache`), trials are
-    additionally restored from / stored into the content-addressed
-    store, keyed by the full-width campaign identity and trial index.
+    When the executor carries a result cache, trials are additionally
+    restored from / stored into the content-addressed store, keyed by
+    :func:`campaign_identity` and trial index.
     Cache-restored trials behave exactly like journal-restored ones
     (merged in plan order, no ``on_trial`` re-fire), so warm campaign
     artifacts are byte-identical to cold ones.
@@ -760,10 +732,12 @@ def run_campaign(
             if payload is not None:
                 completed[index] = TrialResult.from_dict(payload)
 
-    cache = active_result_cache()
+    if executor is None:
+        executor = ParallelSweepExecutor(jobs)
+    cache = executor.cache
     cache_keys: Dict[int, str] = {}
     if cache is not None:
-        identity = campaign_cache_identity(campaign)
+        identity = campaign_identity(campaign)
         for index in range(len(plan.plan)):
             cache_keys[index] = cache.key("fault-trial", identity, index)
             if index in completed:
@@ -793,11 +767,11 @@ def run_campaign(
         pending = [
             index for index in range(len(plan.plan)) if index not in completed
         ]
-        if executor is None:
-            executor = ParallelSweepExecutor(jobs)
         workers = min(executor.jobs, len(pending))
         if pending and workers <= 1:
-            _execute_trials(campaign, plan, pending, on_trial=finish)
+            _execute_trials(
+                campaign, plan, pending, executor.batch, on_trial=finish
+            )
         elif pending:
             # Contiguous slices keep per-worker warmups rare; with a
             # journal the slices shrink so completed work is durable
@@ -809,15 +783,9 @@ def run_campaign(
                 pending[start : start + step]
                 for start in range(0, len(pending), step)
             ]
-            # Resolve the batch mode here in the parent: spawn workers
-            # inherit no globals, so a configure_batch_mode() call made
-            # before the campaign must be shipped inside each payload.
-            from repro.traces.replay import active_batch_mode
-
-            batch_mode = active_batch_mode()
             executor.map(
                 _campaign_worker,
-                [(campaign, chunk, batch_mode) for chunk in slices],
+                [(campaign, chunk, executor.batch) for chunk in slices],
                 on_result=lambda _slice, trials: [
                     finish(trial) for trial in trials
                 ],

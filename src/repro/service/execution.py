@@ -295,7 +295,7 @@ def _execute_sweep(
                     collected[name] = journal.get(key)
                 else:
                     collected[name] = EXPERIMENTS[name](
-                        full, executor.jobs, out=log
+                        full, executor, out=log
                     )
                     journal.record(key, collected[name])
                 progress(done, total)

@@ -241,17 +241,14 @@ class JobServer:
     def _configure_cache(self) -> None:
         if not self.config.cache_dir:
             return
-        from repro.sim.result_cache import (
-            ResultCache,
-            configure_result_cache,
-            derive_cache_stamp,
-        )
+        from repro.sim.result_cache import ResultCache, resolve_cache_stamp
 
-        stamp = self.config.cache_stamp
-        if stamp == "auto":
-            stamp = derive_cache_stamp()
-        self._cache = configure_result_cache(
-            ResultCache(self.config.cache_dir, code_stamp=stamp)
+        self._cache = ResultCache(
+            self.config.cache_dir,
+            code_stamp=resolve_cache_stamp(self.config.cache_stamp),
+        )
+        self._executor_template = self._executor_template.with_overrides(
+            cache=self._cache
         )
 
     def request_stop(self) -> None:
@@ -271,17 +268,12 @@ class JobServer:
 
     async def wait_stopped(self) -> None:
         """Block until a requested stop has fully drained, then clean
-        up (final manifest, journal close, cache deconfiguration)."""
+        up (final manifest, journal close)."""
         assert self._stopped is not None
         await self._stopped.wait()
         if self._server is not None:
             await self._server.wait_closed()
         self._write_service_manifest()
-        if self._cache is not None:
-            from repro.sim.result_cache import configure_result_cache
-
-            configure_result_cache(None)
-            self._cache = None
         if self._journal is not None:
             self._journal.close()
             self._journal = None

@@ -9,11 +9,7 @@ from repro.sim.checkpoint import (
     write_artifact,
 )
 from repro.sim.engine import SimulationEngine, run_simulation
-from repro.sim.parallel import (
-    ParallelSweepExecutor,
-    configure_executor_defaults,
-    resolve_jobs,
-)
+from repro.sim.parallel import ParallelSweepExecutor, resolve_jobs
 from repro.sim.results import SchemeComparison, SimulationResult
 
 __all__ = [
@@ -22,7 +18,6 @@ __all__ = [
     "SimulationResult",
     "SchemeComparison",
     "ParallelSweepExecutor",
-    "configure_executor_defaults",
     "resolve_jobs",
     "CheckpointJournal",
     "atomic_write_json",

@@ -42,6 +42,7 @@ import os
 import sys
 import time
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -56,7 +57,12 @@ from repro.config import SystemConfig
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ValidationError, WorkerCrashError, WorkerTimeoutError
 from repro.sim.results import SimulationResult
+from repro.traces.replay import check_batch_mode
 from repro.traces.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.sim.result_cache import ResultCache
+    from repro.telemetry.runtime import RunCollector, TelemetrySpec
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -71,33 +77,6 @@ BACKOFF_CAP = 5.0
 #: How long a supervised wait sleeps between wakeups, seconds.  Keeps
 #: the driver responsive to signals without busy-waiting.
 _POLL_SECONDS = 0.05
-
-_UNSET = object()
-
-#: Process-global executor defaults, overridable from the CLI (see
-#: :func:`configure_executor_defaults`) so ``--timeout``/``--retries``
-#: reach executors constructed deep inside experiment modules.
-_EXECUTOR_DEFAULTS: Dict[str, object] = {
-    "timeout": None,
-    "retries": 2,
-    "backoff": 0.5,
-    "maxtasksperchild": 16,
-}
-
-
-def configure_executor_defaults(**overrides: object) -> None:
-    """Set process-wide defaults for supervision parameters.
-
-    Recognized keys: ``timeout`` (seconds or None), ``retries``,
-    ``backoff``, ``maxtasksperchild``.  Experiment entry points call
-    this once from their CLI flags; executors created afterwards with
-    unspecified parameters pick the new defaults up.
-    """
-    for key, value in overrides.items():
-        if key not in _EXECUTOR_DEFAULTS:
-            raise ValueError(f"unknown executor default {key!r}")
-        _EXECUTOR_DEFAULTS[key] = value
-
 
 def validate_supervision(
     timeout: Union[float, None] = None,
@@ -199,15 +178,13 @@ def resolve_jobs(spec: Union[int, float, str, None]) -> int:
 def _simulate_cell(payload: Tuple):
     """Module-level worker: one cell per call (spawn/fork picklable).
 
-    The payload is ``(config, trace, keys)`` optionally extended with
-    ``(..., telemetry_spec, batch_mode)`` — both must ride in the
-    payload because spawn workers inherit no parent globals.
+    The payload is ``(config, trace, keys, telemetry_spec, batch)``:
+    spawn workers inherit nothing from the parent, so every run setting
+    a cell needs rides in it.
     """
     from repro.sim.engine import run_simulation
 
-    config, trace, keys = payload[:3]
-    telemetry = payload[3] if len(payload) > 3 else None
-    batch = payload[4] if len(payload) > 4 else None
+    config, trace, keys, telemetry, batch = payload
     return run_simulation(config, trace, keys, telemetry=telemetry, batch=batch)
 
 
@@ -242,6 +219,25 @@ class ParallelSweepExecutor:
         Accepted for backwards compatibility; the supervised executor
         dispatches one cell per task so any cell can be individually
         timed out and retried.
+    batch:
+        Batch replay mode of every simulation cell and campaign warmup
+        ("auto"/"on"/"off", see :data:`repro.traces.replay.BATCH_MODES`).
+        Batched and scalar replay give identical results, so the mode
+        never enters result-cache keys or journal identities.
+    telemetry:
+        :class:`~repro.telemetry.runtime.TelemetrySpec` shipped inside
+        every simulation payload, or None to record nothing.
+    collector:
+        Parent-side :class:`~repro.telemetry.runtime.RunCollector` that
+        absorbs simulation results in submission order and renders the
+        progress line, or None.
+    cache:
+        :class:`~repro.sim.result_cache.ResultCache` consulted (parent
+        side only) before simulation cells and campaign trials run, or
+        None.
+
+    The executor is the run's whole context: every setting above
+    travels on it, so no module holds run state of its own.
     """
 
     #: Pools always use the spawn start method: workers import the code
@@ -253,56 +249,52 @@ class ParallelSweepExecutor:
         self,
         jobs: Union[int, str, None] = 1,
         chunksize: Optional[int] = None,
-        timeout: Union[float, None, object] = _UNSET,
-        retries: Union[int, object] = _UNSET,
-        backoff: Union[float, object] = _UNSET,
-        maxtasksperchild: Union[int, None, object] = _UNSET,
+        timeout: Optional[float] = None,
+        retries: int = 2,
+        backoff: float = 0.5,
+        maxtasksperchild: Optional[int] = 16,
+        batch: str = "auto",
+        telemetry: Optional["TelemetrySpec"] = None,
+        collector: Optional["RunCollector"] = None,
+        cache: Optional["ResultCache"] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.chunksize = chunksize
-
-        def pick(name: str, value):
-            return _EXECUTOR_DEFAULTS[name] if value is _UNSET else value
-
-        picked_timeout = pick("timeout", timeout)
-        picked_retries = pick("retries", retries)
-        picked_backoff = pick("backoff", backoff)
-        validate_supervision(
-            timeout=picked_timeout,
-            retries=picked_retries,
-            backoff=picked_backoff,
-        )
-        self.timeout = (
-            None if picked_timeout is None else float(picked_timeout)
-        )
-        self.retries = int(float(picked_retries))
-        self.backoff = float(picked_backoff)
-        self.maxtasksperchild = pick("maxtasksperchild", maxtasksperchild)
+        validate_supervision(timeout=timeout, retries=retries, backoff=backoff)
+        self.timeout = None if timeout is None else float(timeout)
+        self.retries = int(float(retries))
+        self.backoff = float(backoff)
+        self.maxtasksperchild = maxtasksperchild
+        self.batch = check_batch_mode(batch)
+        self.telemetry = telemetry
+        self.collector = collector
+        self.cache = cache
         #: Diagnostics: (cell index, error repr) per failed attempt.
         self.retry_log: List[Tuple[int, str]] = []
 
-    def with_overrides(
-        self,
-        jobs: Union[int, str, None, object] = _UNSET,
-        timeout: Union[float, None, object] = _UNSET,
-        retries: Union[int, object] = _UNSET,
-    ) -> "ParallelSweepExecutor":
-        """A fresh executor sharing this one's policy, selectively
-        overridden.
+    def with_overrides(self, **overrides) -> "ParallelSweepExecutor":
+        """A fresh executor with this one's settings, selectively
+        overridden by constructor keyword.
 
         The job service holds one template executor and derives a
         per-job handle from it (per-job timeout/retry without mutating
         the shared policy); the derived executor gets its own clean
         ``retry_log``.
         """
-        return ParallelSweepExecutor(
-            jobs=self.jobs if jobs is _UNSET else jobs,
+        settings = dict(
+            jobs=self.jobs,
             chunksize=self.chunksize,
-            timeout=self.timeout if timeout is _UNSET else timeout,
-            retries=self.retries if retries is _UNSET else retries,
+            timeout=self.timeout,
+            retries=self.retries,
             backoff=self.backoff,
             maxtasksperchild=self.maxtasksperchild,
+            batch=self.batch,
+            telemetry=self.telemetry,
+            collector=self.collector,
+            cache=self.cache,
         )
+        settings.update(overrides)
+        return ParallelSweepExecutor(**settings)
 
     @property
     def is_parallel(self) -> bool:
@@ -495,41 +487,25 @@ class ParallelSweepExecutor:
         cells: Sequence[SimCell],
         keys: Optional[ProcessorKeys] = None,
         on_result: Optional[Callable[[int, SimulationResult], None]] = None,
-        batch: Optional[str] = None,
     ) -> List[SimulationResult]:
         """Run every (config, trace) cell; results in cell order.
 
-        ``batch`` selects the replay mode ("auto"/"on"/"off"); ``None``
-        resolves to the process-wide mode *here in the parent*, so
-        spawn workers (which inherit no globals) still honor a
-        ``configure_batch_mode`` call made before the sweep.  The mode
-        never enters result-cache keys: batched and scalar results are
-        identical by contract.
+        Each cell replays in this executor's :attr:`batch` mode and
+        records :attr:`telemetry` when set.  With a :attr:`collector`,
+        the live progress line ticks as results are harvested and the
+        finished results are absorbed — in submission order — into it.
 
-        When the run configured telemetry (see
-        :func:`repro.telemetry.runtime.configure_telemetry`), the spec
-        is shipped inside each payload, the live progress line ticks as
-        results are harvested, and the finished results are absorbed —
-        in submission order — into the run's collector.
-
-        When the run configured a result cache (see
-        :func:`repro.sim.result_cache.configure_result_cache`), the
-        store is consulted before any cell is submitted and populated
-        as cold cells complete — all in this (parent) process, and all
-        reduced in submission order, so warm output stays
-        byte-identical to a cold run at any ``--jobs`` count.
+        With a :attr:`cache`, the store is consulted before any cell is
+        submitted and populated as cold cells complete — all in this
+        (parent) process, and all reduced in submission order, so warm
+        output stays byte-identical to a cold run at any ``--jobs``
+        count.
         """
-        from repro.sim.result_cache import (
-            active_result_cache,
-            simulation_cell_key,
-        )
-        from repro.telemetry.runtime import active_spec, run_collector
-        from repro.traces.replay import resolve_batch_mode
+        from repro.sim.result_cache import simulation_cell_key
 
-        spec = active_spec()
-        collector = run_collector()
-        cache = active_result_cache()
-        batch_mode = resolve_batch_mode(batch)
+        spec = self.telemetry
+        collector = self.collector
+        cache = self.cache
 
         cache_keys: Dict[int, str] = {}
         cached: Dict[int, SimulationResult] = {}
@@ -559,7 +535,7 @@ class ParallelSweepExecutor:
         cold = [index for index in range(len(cells)) if index not in cached]
         if cold:
             payloads: List[Tuple] = [
-                (cells[index][0], cells[index][1], keys, spec, batch_mode)
+                (cells[index][0], cells[index][1], keys, spec, self.batch)
                 for index in cold
             ]
 

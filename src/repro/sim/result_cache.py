@@ -43,6 +43,7 @@ cached scalar must hit when re-run batched, and vice versa.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -438,27 +439,34 @@ def simulation_cell_key(
 
 
 # ----------------------------------------------------------------------
-# Process-global configuration (mirrors configure_telemetry)
+# Command-line resolution
 # ----------------------------------------------------------------------
 
-_ACTIVE: Optional[ResultCache] = None
+def resolve_cache_stamp(stamp: Optional[str]) -> Optional[str]:
+    """A ``--cache-stamp`` value as a key stamp: "auto" is derived
+    (:func:`derive_cache_stamp`, with a warning when nothing is found),
+    anything else passes through."""
+    if stamp != "auto":
+        return stamp
+    derived = derive_cache_stamp()
+    if derived is None:
+        print(
+            "warning: --cache-stamp auto found neither an installed "
+            "package version nor a git revision; using version-"
+            "agnostic cache keys",
+            file=sys.stderr,
+        )
+    return derived
 
 
-def configure_result_cache(
-    cache: Optional[ResultCache],
-) -> Optional[ResultCache]:
-    """Install ``cache`` as the process-current result cache.
-
-    The executor and campaign runners consult :func:`active_result_
-    cache` in the *parent* process only — workers never see the store,
-    which is what keeps warm runs byte-identical at any ``--jobs``
-    count.  Pass None to disarm.
-    """
-    global _ACTIVE
-    _ACTIVE = cache
-    return cache
-
-
-def active_result_cache() -> Optional[ResultCache]:
-    """The configured result cache, or None."""
-    return _ACTIVE
+def result_cache_from_args(args) -> Optional[ResultCache]:
+    """The run's result cache from ``--cache-dir``/``--no-result-cache``
+    /``--cache-stamp``, falling back to ``$REPRO_RESULT_CACHE`` and
+    ``$REPRO_CACHE_STAMP``; None when no store is configured."""
+    if args.no_result_cache:
+        return None
+    directory = args.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
+    if not directory:
+        return None
+    stamp = args.cache_stamp or os.environ.get("REPRO_CACHE_STAMP") or None
+    return ResultCache(directory, code_stamp=resolve_cache_stamp(stamp))

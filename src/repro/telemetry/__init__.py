@@ -45,14 +45,11 @@ from repro.telemetry.runtime import (
     TelemetrySession,
     TelemetrySpec,
     active_sampler,
-    active_spec,
     build_manifest,
-    configure_telemetry,
     current_session,
     current_tracer,
     git_describe,
     live_tracer,
-    run_collector,
     sampling_active,
     session,
     span,
@@ -82,14 +79,11 @@ __all__ = [
     "TelemetrySession",
     "TelemetrySpec",
     "active_sampler",
-    "active_spec",
     "build_manifest",
-    "configure_telemetry",
     "current_session",
     "current_tracer",
     "git_describe",
     "live_tracer",
-    "run_collector",
     "sampling_active",
     "session",
     "span",

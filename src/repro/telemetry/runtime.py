@@ -104,13 +104,6 @@ class TelemetrySession:
 #: Stack of installed sessions; the top is the process-current one.
 _SESSIONS: List[TelemetrySession] = []
 
-#: The spec a run configured for its sweeps (see
-#: :func:`configure_telemetry`); shipped to workers by the executor.
-_ACTIVE_SPEC: Optional[TelemetrySpec] = None
-
-#: The parent-side collector of the current run, if any.
-_COLLECTOR: Optional["RunCollector"] = None
-
 
 def current_session() -> Optional[TelemetrySession]:
     """The innermost installed session, or None."""
@@ -236,35 +229,6 @@ def span(name: str):
         yield
     finally:
         timer.stop()
-
-
-def configure_telemetry(
-    spec: Optional[TelemetrySpec],
-    progress: bool = False,
-) -> Optional["RunCollector"]:
-    """Arm telemetry for the sweeps of the current run.
-
-    The executor reads :func:`active_spec` in the parent and ships it
-    inside each cell payload; harvested results feed the returned
-    :class:`RunCollector`.  Pass ``spec=None`` to disarm (tests).
-    """
-    global _ACTIVE_SPEC, _COLLECTOR
-    _ACTIVE_SPEC = spec
-    if spec is None and not progress:
-        _COLLECTOR = None
-        return None
-    _COLLECTOR = RunCollector(progress=progress)
-    return _COLLECTOR
-
-
-def active_spec() -> Optional[TelemetrySpec]:
-    """The spec configured for this run's sweeps, if any."""
-    return _ACTIVE_SPEC
-
-
-def run_collector() -> Optional["RunCollector"]:
-    """The parent-side collector of the current run, if any."""
-    return _COLLECTOR
 
 
 def active_sampler() -> Optional[MetricSampler]:

@@ -12,11 +12,9 @@ replays request-by-request everywhere else — inside caller-declared
 functional ``check_reads`` runs, under a live telemetry session, and
 for controllers the batch engine does not support.  Results are
 identical to :func:`replay` in all cases; only wall-clock differs.
-
-The module also owns the process-wide batch-mode knob ("auto" / "on" /
-"off") that the CLIs and the experiment runner thread through
-``sim.engine`` — workers resolve it per simulation so parallel sweeps
-inherit the parent's choice.
+A run picks its batch mode ("auto" / "on" / "off") on its
+:class:`~repro.sim.parallel.ParallelSweepExecutor`, which ships it to
+every cell and campaign worker.
 """
 
 from __future__ import annotations
@@ -28,44 +26,21 @@ from repro.controller.base import SecureMemoryController
 from repro.errors import ConfigError, IntegrityError
 from repro.traces.trace import Trace
 
-#: Legal values of the batch-mode knob.
+#: Legal batch replay modes.
 BATCH_MODES = ("auto", "on", "off")
 
-_batch_mode = "auto"
 
+def check_batch_mode(mode: str) -> str:
+    """``mode`` if it is one of :data:`BATCH_MODES`, else ConfigError.
 
-def configure_batch_mode(mode: Optional[str]) -> str:
-    """Set the process-wide batch replay mode; returns the new value.
-
-    ``None`` resets to the default ("auto").  "auto" and "on" differ
-    only in heuristics (auto may run mostly-cold chunks scalar); "off"
-    forces request-by-request replay everywhere.
+    "auto" and "on" differ only in heuristics (auto may run mostly-cold
+    chunks scalar); "off" forces request-by-request replay everywhere.
     """
-    global _batch_mode
-    if mode is None:
-        mode = "auto"
     if mode not in BATCH_MODES:
         raise ConfigError(
             f"batch mode must be one of {BATCH_MODES}, got {mode!r}"
         )
-    _batch_mode = mode
     return mode
-
-
-def active_batch_mode() -> str:
-    """The process-wide batch replay mode."""
-    return _batch_mode
-
-
-def resolve_batch_mode(explicit: Optional[str]) -> str:
-    """An explicit per-call mode if given, else the process-wide one."""
-    if explicit is None:
-        return _batch_mode
-    if explicit not in BATCH_MODES:
-        raise ConfigError(
-            f"batch mode must be one of {BATCH_MODES}, got {explicit!r}"
-        )
-    return explicit
 
 
 def _flush_deferred(controller) -> None:
@@ -199,7 +174,7 @@ def replay_batched(
     check_reads: bool = False,
     scalar_windows: Optional[Iterable[Tuple[int, int]]] = None,
     chunk_size: Optional[int] = None,
-    batch: Optional[str] = None,
+    batch: str = "auto",
     start: int = 0,
     stop: Optional[int] = None,
 ) -> Dict[int, bytes]:
@@ -217,8 +192,8 @@ def replay_batched(
         Accesses per planning chunk (default
         :data:`repro.controller.batch.DEFAULT_CHUNK`).
     batch:
-        Per-call override of the process-wide mode; "off" degenerates
-        to scalar replay.
+        Batch mode, one of :data:`BATCH_MODES`; "off" degenerates to
+        scalar replay.
     start, stop:
         Replay only requests ``[start, stop)`` (default: the whole
         trace).  Callers that must pause at known indices — the fault
@@ -236,7 +211,7 @@ def replay_batched(
         run_batched_range,
     )
 
-    mode = resolve_batch_mode(batch)
+    mode = check_batch_mode(batch)
     shadow: Dict[int, bytes] = oracle if oracle is not None else {}
     blank = bytes(controller.config.memory.block_size)
     total = len(trace)

@@ -18,19 +18,11 @@ from repro.controller.factory import build_controller, build_layout
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
 from repro.sim.engine import run_simulation
-from repro.sim.result_cache import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    simulation_cell_key,
-)
+from repro.sim.parallel import ParallelSweepExecutor
+from repro.sim.result_cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.telemetry.runtime import TelemetrySpec
 from repro.traces.profiles import SyntheticProfile
-from repro.traces.replay import (
-    active_batch_mode,
-    configure_batch_mode,
-    replay,
-    replay_batched,
-)
+from repro.traces.replay import replay, replay_batched
 from repro.traces.synthetic import generate_trace
 from repro.traces.trace import Trace
 
@@ -292,24 +284,20 @@ class TestEngineAndKnob:
         )
         assert replay(reference, trace) == oracle
 
-    def test_knob_validation_and_restore(self):
-        previous = active_batch_mode()
-        try:
-            assert configure_batch_mode("on") == "on"
-            assert active_batch_mode() == "on"
-            assert configure_batch_mode(None) == "auto"
-            with pytest.raises(ConfigError):
-                configure_batch_mode("turbo")
-            with pytest.raises(ConfigError):
-                replay_batched(
-                    build_controller(
-                        small_config(), keys=ProcessorKeys(1)
-                    ),
-                    generate_trace(UNIFORM, 10, seed=1),
-                    batch="sideways",
-                )
-        finally:
-            configure_batch_mode(previous)
+    def test_executor_batch_validation(self):
+        assert ParallelSweepExecutor(1).batch == "auto"
+        executor = ParallelSweepExecutor(1, batch="on")
+        assert executor.batch == "on"
+        assert executor.with_overrides(jobs=1).batch == "on"
+        assert executor.with_overrides(batch="off").batch == "off"
+        with pytest.raises(ConfigError):
+            ParallelSweepExecutor(1, batch="turbo")
+        with pytest.raises(ConfigError):
+            replay_batched(
+                build_controller(small_config(), keys=ProcessorKeys(1)),
+                generate_trace(UNIFORM, 10, seed=1),
+                batch="sideways",
+            )
 
 
 class TestResultCacheKeys:
@@ -317,19 +305,21 @@ class TestResultCacheKeys:
         assert CACHE_SCHEMA_VERSION == 2
 
     def test_batch_mode_never_enters_keys(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        config = small_config(SchemeKind.WRITE_BACK)
-        trace = generate_trace(UNIFORM, 50, seed=1)
-        keys = ProcessorKeys(3)
-        previous = active_batch_mode()
-        try:
-            configure_batch_mode("on")
-            key_on = simulation_cell_key(cache, config, trace, keys)
-            configure_batch_mode("off")
-            key_off = simulation_cell_key(cache, config, trace, keys)
-        finally:
-            configure_batch_mode(previous)
-        assert key_on == key_off
+        cells = [
+            (
+                small_config(SchemeKind.WRITE_BACK),
+                generate_trace(UNIFORM, 50, seed=1),
+            )
+        ]
+        cold = ResultCache(str(tmp_path))
+        ParallelSweepExecutor(1, batch="on", cache=cold).run_simulations(
+            cells, ProcessorKeys(3)
+        )
+        warm = ResultCache(str(tmp_path))
+        ParallelSweepExecutor(1, batch="off", cache=warm).run_simulations(
+            cells, ProcessorKeys(3)
+        )
+        assert (cold.stores, warm.hits, warm.misses) == (1, 1, 0)
 
     def test_code_stamp_scopes_keys(self, tmp_path):
         plain = ResultCache(str(tmp_path / "a"))
@@ -438,8 +428,9 @@ class TestVectorizedHelpers:
 # ---------------------------------------------------------------------------
 
 class _BatchModeProbeFault:
-    """A fault model whose trial record captures the *worker-side*
-    batch mode — module-level so spawn workers can unpickle it."""
+    """A fault model whose trial record captures the batch mode the
+    *worker-side* trial runner ran its warmup with — module-level so
+    spawn workers can unpickle it."""
 
     name = "batch_probe"
     tamper = False
@@ -452,41 +443,39 @@ class _BatchModeProbeFault:
         return (0, 0)
 
     def inject(self, rng, ctx):
+        import sys
+
         from repro.faults.models import InjectedFault
 
-        return InjectedFault(self.name, f"batch={active_batch_mode()}")
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "_execute_trials":
+            frame = frame.f_back
+        return InjectedFault(self.name, f"batch={frame.f_locals['batch']}")
 
 
 class TestCampaignWorkerBatchMode:
     """``--batch off`` must reach spawn-based campaign workers.
 
-    Spawn workers inherit no parent globals: before the worker payload
-    carried the resolved mode, a parent-side ``configure_batch_mode``
-    call silently reverted to ``auto`` inside every worker, so the
-    scalar-exact setting a user asked for was only honoured at
-    ``--jobs 1``."""
+    Spawn workers inherit nothing from the parent: when the mode was a
+    process-global setting, ``off`` silently reverted to ``auto``
+    inside every worker, so the scalar-exact setting a user asked for
+    was only honoured at ``--jobs 1``."""
 
     def _run(self, mode, jobs):
         from repro.faults.campaign import CampaignConfig, run_campaign
-        from repro.sim.parallel import ParallelSweepExecutor
 
-        previous = active_batch_mode()
-        configure_batch_mode(mode)
-        try:
-            result = run_campaign(
-                CampaignConfig(
-                    system=small_config(),
-                    trials=4,
-                    trace_length=200,
-                    num_crash_points=2,
-                    probe_reads=2,
-                    nested_crash_fraction=0.0,
-                    catalogue=[_BatchModeProbeFault()],
-                ),
-                executor=ParallelSweepExecutor(jobs),
-            )
-        finally:
-            configure_batch_mode(previous)
+        result = run_campaign(
+            CampaignConfig(
+                system=small_config(),
+                trials=4,
+                trace_length=200,
+                num_crash_points=2,
+                probe_reads=2,
+                nested_crash_fraction=0.0,
+                catalogue=[_BatchModeProbeFault()],
+            ),
+            executor=ParallelSweepExecutor(jobs, batch=mode),
+        )
         return [trial.description for trial in result.trials]
 
     def test_off_reaches_spawn_workers(self):

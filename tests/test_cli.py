@@ -19,6 +19,40 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--workload", "bogus"])
 
+    @pytest.mark.parametrize("command", ["faults", "attack", "experiments"])
+    def test_execution_flags_shared(self, command):
+        """``--jobs/--resume/--timeout/--retries``, the cache flags and
+        ``--batch`` parse identically in every command that runs work."""
+        from repro.experiments.runner import build_parser as runner_parser
+
+        def parse(flags):
+            if command == "experiments":
+                return runner_parser().parse_args(flags)
+            return build_parser().parse_args([command, *flags])
+
+        names = (
+            "jobs", "resume", "timeout", "retries", "cache_dir",
+            "no_result_cache", "cache_stamp", "batch",
+        )
+        defaults = parse([])
+        assert {name: getattr(defaults, name) for name in names} == {
+            "jobs": "1", "resume": None, "timeout": None, "retries": 2,
+            "cache_dir": None, "no_result_cache": False,
+            "cache_stamp": None, "batch": None,
+        }
+        given = parse(
+            [
+                "--cache-stamp", "--jobs", "3", "--resume", "ck",
+                "--timeout", "1.5", "--retries", "0", "--cache-dir", "store",
+                "--no-result-cache", "--batch", "off",
+            ]
+        )
+        assert {name: getattr(given, name) for name in names} == {
+            "jobs": "3", "resume": "ck", "timeout": 1.5, "retries": 0,
+            "cache_dir": "store", "no_result_cache": True,
+            "cache_stamp": "auto", "batch": "off",
+        }
+
 
 class TestDescribe:
     def test_prints_layout(self, capsys):

@@ -43,7 +43,6 @@ from repro.telemetry import (
     EventTracer,
     RunCollector,
     TelemetrySpec,
-    configure_telemetry,
     validate_events,
     write_jsonl,
 )
@@ -204,14 +203,14 @@ def _collect_samples(jobs):
         for trace in traces
         for scheme in (SchemeKind.WRITE_BACK, SchemeKind.AGIT_PLUS)
     ]
-    collector = configure_telemetry(
-        TelemetrySpec(events=False, sample_interval=64)
+    collector = RunCollector()
+    executor = ParallelSweepExecutor(
+        jobs,
+        backoff=0,
+        telemetry=TelemetrySpec(events=False, sample_interval=64),
+        collector=collector,
     )
-    try:
-        executor = ParallelSweepExecutor(jobs, backoff=0)
-        executor.run_simulations(cells, ProcessorKeys(7))
-    finally:
-        configure_telemetry(None)
+    executor.run_simulations(cells, ProcessorKeys(7))
     stream = io.StringIO()
     write_jsonl(collector.samples, stream)
     return stream.getvalue()
@@ -267,7 +266,7 @@ def test_batch_fallback_event_identical_across_modes(batch):
         assert result.events == scalar.events
 
 
-def test_run_collector_merges_samples():
+def test_collector_merges_samples():
     collector = RunCollector()
     from repro.sim.results import SimulationResult
 

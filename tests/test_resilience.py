@@ -17,7 +17,7 @@ from repro.config import SchemeKind, TreeKind
 from repro.errors import CheckpointMismatchError, WorkerTimeoutError
 from repro.faults.campaign import (
     CampaignConfig,
-    campaign_fingerprint,
+    campaign_identity,
     open_campaign_journal,
     run_campaign,
 )
@@ -186,12 +186,18 @@ class TestResumeDeterminism:
             run_campaign(_campaign(seed=1), checkpoint_dir=directory)
 
     def test_fingerprint_ignores_execution_knobs(self):
-        assert campaign_fingerprint(_campaign()) == campaign_fingerprint(
+        assert campaign_identity(_campaign()) == campaign_identity(
             _campaign()
         )
-        assert campaign_fingerprint(_campaign(seed=1)) != campaign_fingerprint(
+        assert campaign_identity(_campaign(seed=1)) != campaign_identity(
             _campaign()
         )
+
+    def test_journal_header_is_the_full_width_identity(self, tmp_path):
+        journal = open_campaign_journal(str(tmp_path / "ck"), _campaign())
+        journal.close()
+        assert journal.work_fingerprint == campaign_identity(_campaign())
+        assert len(journal.work_fingerprint) == 64
 
     def test_open_campaign_journal_reopens(self, tmp_path):
         directory = str(tmp_path / "ck")

@@ -28,8 +28,6 @@ from repro.sim.result_cache import (
     CACHE_SCHEMA_VERSION,
     QUARANTINE_SUFFIX,
     ResultCache,
-    active_result_cache,
-    configure_result_cache,
     simulation_cell_key,
 )
 from repro.telemetry import MetricsRegistry, TelemetrySpec, session
@@ -219,12 +217,8 @@ def _grid():
 
 
 def _run_grid(cells, cache, jobs=1):
-    configure_result_cache(cache)
-    try:
-        executor = ParallelSweepExecutor(jobs, backoff=0)
-        results = executor.run_simulations(cells, ProcessorKeys(7))
-    finally:
-        configure_result_cache(None)
+    executor = ParallelSweepExecutor(jobs, backoff=0, cache=cache)
+    results = executor.run_simulations(cells, ProcessorKeys(7))
     return canonical_json([result.to_dict() for result in results])
 
 
@@ -279,18 +273,10 @@ class TestSweepCaching:
         cells = _grid()[:1]
         _run_grid(cells, cache)
         warm_cache = ResultCache(cache.directory)
-        configure_result_cache(warm_cache)
-        try:
-            from repro.telemetry import configure_telemetry
-
-            configure_telemetry(TelemetrySpec())
-            try:
-                executor = ParallelSweepExecutor(1, backoff=0)
-                results = executor.run_simulations(cells, ProcessorKeys(7))
-            finally:
-                configure_telemetry(None)
-        finally:
-            configure_result_cache(None)
+        executor = ParallelSweepExecutor(
+            1, backoff=0, telemetry=TelemetrySpec(), cache=warm_cache
+        )
+        results = executor.run_simulations(cells, ProcessorKeys(7))
         assert warm_cache.hits == 0
         assert warm_cache.misses == 1
         assert results[0].events  # the traced run really recorded
@@ -320,20 +306,18 @@ def _campaign():
 
 class TestCampaignCaching:
     def test_warm_campaign_restores_every_trial(self, cache):
-        configure_result_cache(cache)
-        try:
-            cold = run_campaign(_campaign())
-        finally:
-            configure_result_cache(None)
+        cold = run_campaign(
+            _campaign(), executor=ParallelSweepExecutor(1, cache=cache)
+        )
         assert cache.stores == 4
 
         warm_cache = ResultCache(cache.directory)
         seen = []
-        configure_result_cache(warm_cache)
-        try:
-            warm = run_campaign(_campaign(), on_trial=seen.append)
-        finally:
-            configure_result_cache(None)
+        warm = run_campaign(
+            _campaign(),
+            executor=ParallelSweepExecutor(1, cache=warm_cache),
+            on_trial=seen.append,
+        )
         assert warm_cache.hits == 4
         assert warm_cache.misses == 0
         # Cache restores behave like journal restores: merged in plan
@@ -346,13 +330,12 @@ class TestCampaignCaching:
     def test_cache_restores_are_journaled_for_local_resume(
         self, cache, tmp_path
     ):
-        configure_result_cache(cache)
-        try:
-            run_campaign(_campaign())
-            checkpoint = str(tmp_path / "ckpt")
-            run_campaign(_campaign(), checkpoint_dir=checkpoint)
-        finally:
-            configure_result_cache(None)
+        executor = ParallelSweepExecutor(1, cache=cache)
+        run_campaign(_campaign(), executor=executor)
+        checkpoint = str(tmp_path / "ckpt")
+        run_campaign(
+            _campaign(), checkpoint_dir=checkpoint, executor=executor
+        )
         # Every cache-restored trial was re-recorded into the local
         # journal: a later resume must not depend on the shared store.
         from repro.faults.campaign import open_campaign_journal
@@ -368,16 +351,16 @@ class TestCampaignCaching:
 
 
 # ---------------------------------------------------------------------------
-# process-global wiring
+# executor wiring
 # ---------------------------------------------------------------------------
 
 
-def test_configure_result_cache_installs_and_disarms(cache):
-    assert active_result_cache() is None
-    assert configure_result_cache(cache) is cache
-    assert active_result_cache() is cache
-    configure_result_cache(None)
-    assert active_result_cache() is None
+def test_executor_carries_the_cache(cache):
+    assert ParallelSweepExecutor(1).cache is None
+    executor = ParallelSweepExecutor(1, cache=cache)
+    assert executor.cache is cache
+    assert executor.with_overrides(jobs=2).cache is cache
+    assert executor.with_overrides(cache=None).cache is None
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +418,50 @@ class TestDeriveCacheStamp:
         monkeypatch.setattr(metadata, "version", missing)
         # An empty directory: not a git repository.
         assert derive_cache_stamp(cwd=str(tmp_path)) is None
+
+
+class TestResultCacheFromArgs:
+    @staticmethod
+    def _args(cache_dir=None, no_result_cache=False, cache_stamp=None):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(
+            cache_dir=cache_dir,
+            no_result_cache=no_result_cache,
+            cache_stamp=cache_stamp,
+        )
+
+    def test_flags_then_environment(self, monkeypatch, tmp_path):
+        from repro.sim.result_cache import result_cache_from_args
+
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_STAMP", raising=False)
+        assert result_cache_from_args(self._args()) is None
+        flagged = result_cache_from_args(
+            self._args(str(tmp_path / "a"), cache_stamp="rev1")
+        )
+        assert flagged.directory.endswith("a")
+        assert flagged.code_stamp == "rev1"
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "b"))
+        monkeypatch.setenv("REPRO_CACHE_STAMP", "rev2")
+        from_env = result_cache_from_args(self._args())
+        assert from_env.directory.endswith("b")
+        assert from_env.code_stamp == "rev2"
+        assert result_cache_from_args(
+            self._args(str(tmp_path / "a"), no_result_cache=True)
+        ) is None
+
+    def test_auto_stamp_is_derived(self, monkeypatch, tmp_path, capsys):
+        from repro.sim import result_cache
+
+        monkeypatch.setattr(result_cache, "derive_cache_stamp", lambda: None)
+        cache = result_cache.result_cache_from_args(
+            self._args(str(tmp_path), cache_stamp="auto")
+        )
+        assert cache.code_stamp is None
+        assert "--cache-stamp auto" in capsys.readouterr().err
+        monkeypatch.setattr(
+            result_cache, "derive_cache_stamp", lambda: "pkg:1.0"
+        )
+        assert result_cache.resolve_cache_stamp("auto") == "pkg:1.0"
+        assert result_cache.resolve_cache_stamp("rev1") == "rev1"

@@ -308,6 +308,7 @@ class TestEndToEnd:
 
         from repro.experiments.runner import EXPERIMENTS
         from repro.sim.checkpoint import write_artifact
+        from repro.sim.parallel import ParallelSweepExecutor
 
         _thread, client = service
         jid = client.submit(
@@ -319,7 +320,9 @@ class TestEndToEnd:
             _thread.config.data_dir, "jobs", jid, "results.json"
         )
         direct = {
-            "fig05": EXPERIMENTS["fig05"](False, 1, out=io.StringIO())
+            "fig05": EXPERIMENTS["fig05"](
+                False, ParallelSweepExecutor(1), out=io.StringIO()
+            )
         }
         reference = str(tmp_path / "reference.json")
         write_artifact(reference, direct, kind="experiment-results")
@@ -465,6 +468,40 @@ class TestAdmissionControl:
         executor = server._job_executor(Job(id="x", spec=spec))
         assert executor.timeout == 5.0
         assert executor.retries == 0
+
+    def test_sweep_jobs_honour_supervision(self, tmp_path, monkeypatch):
+        """Every sweep cell runs under the job's executor: the spec's
+        timeout/retries, else the server's."""
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.service.execution import execute_job
+
+        seen = []
+
+        def stub(full, executor, out=None):
+            seen.append((executor.timeout, executor.retries))
+            return {}
+
+        monkeypatch.setitem(EXPERIMENTS, "stub", stub)
+        server = JobServer(
+            ServiceConfig(
+                data_dir=str(tmp_path / "d"), timeout=30.0, retries=3
+            )
+        )
+        for index, supervision in enumerate(
+            [{"timeout": 5.0, "retries": 0}, {}]
+        ):
+            spec = validate_spec(
+                {
+                    "kind": "sweep",
+                    "params": {"experiments": ["stub"]},
+                    **supervision,
+                }
+            )
+            job = Job(id=f"j{index}", spec=spec)
+            execute_job(
+                job, str(tmp_path / job.id), server._job_executor(job)
+            )
+        assert seen == [(5.0, 0), (30.0, 3)]
 
     def test_worker_crash_signals_degrade_to_serial(self, tmp_path):
         from repro.sim.parallel import ParallelSweepExecutor

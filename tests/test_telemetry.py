@@ -34,7 +34,6 @@ from repro.telemetry import (
     TelemetrySpec,
     build_manifest,
     chrome_trace,
-    configure_telemetry,
     current_tracer,
     flatten_histogram,
     live_tracer,
@@ -398,12 +397,11 @@ def _collect_run(jobs):
         for trace in traces
         for scheme in (SchemeKind.WRITE_BACK, SchemeKind.AGIT_PLUS)
     ]
-    collector = configure_telemetry(TelemetrySpec())
-    try:
-        executor = ParallelSweepExecutor(jobs, backoff=0)
-        results = executor.run_simulations(cells, ProcessorKeys(7))
-    finally:
-        configure_telemetry(None)
+    collector = RunCollector()
+    executor = ParallelSweepExecutor(
+        jobs, backoff=0, telemetry=TelemetrySpec(), collector=collector
+    )
+    results = executor.run_simulations(cells, ProcessorKeys(7))
     stream = io.StringIO()
     write_jsonl(collector.events, stream)
     snapshot = json.dumps(
