@@ -45,13 +45,13 @@ class MetadataCache:
         """Lookup with hit/miss accounting; payload or None."""
         payload = self.cache.lookup(address)
         if payload is None:
-            self._misses.add()
+            self._misses.value += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "cache.miss", cache=self.name, address=address
                 )
         else:
-            self._hits.add()
+            self._hits.value += 1
             # Hits dominate every trace; emit them only at detail level
             # so default traces (and enabled-mode overhead) stay bounded.
             if self.tracer.enabled and self.tracer.detail:
@@ -67,9 +67,9 @@ class MetadataCache:
         slot, eviction = self.cache.insert(address, payload, dirty)
         if eviction is not None:
             if eviction.dirty:
-                self._evict_dirty.add()
+                self._evict_dirty.value += 1
             else:
-                self._evict_clean.add()
+                self._evict_clean.value += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "cache.evict",
@@ -97,7 +97,7 @@ class MetadataCache:
         cache = self.cache
         slot = cache._index[address]
         line = cache._lines[slot]
-        self._hits.add()
+        self._hits.value += 1
         tracer = self.tracer
         if tracer.enabled and tracer.detail:
             tracer.emit("cache.hit", cache=self.name, address=address)
@@ -148,7 +148,9 @@ class MetadataCache:
 
     def peek(self, address: int) -> Optional[Any]:
         """Payload without LRU/stat side effects."""
-        return self.cache.peek(address)
+        cache = self.cache
+        slot = cache._index.get(address)
+        return cache._lines[slot].payload if slot is not None else None
 
     def contains(self, address: int) -> bool:
         """Residency check without side effects."""

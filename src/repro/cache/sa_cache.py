@@ -15,27 +15,27 @@ Two properties of this cache are load-bearing for Anubis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.errors import ConfigError
 
 
-@dataclass
 class CacheLine:
     """One cache slot: tag/payload plus replacement and dirty state."""
 
-    valid: bool = False
-    address: int = 0
-    payload: Any = None
-    dirty: bool = False
-    lru_stamp: int = 0
+    __slots__ = ("valid", "address", "payload", "dirty", "lru_stamp")
+
+    def __init__(self) -> None:
+        self.valid = False
+        self.address = 0
+        self.payload: Any = None
+        self.dirty = False
+        self.lru_stamp = 0
 
 
-@dataclass(frozen=True)
-class Eviction:
-    """Record of a victim pushed out by a fill."""
+class Eviction(NamedTuple):
+    """Immutable record of a victim pushed out by a fill."""
 
     address: int
     payload: Any
@@ -148,10 +148,7 @@ class SetAssociativeCache:
         eviction = None
         if line.valid:
             eviction = Eviction(
-                address=line.address,
-                payload=line.payload,
-                dirty=line.dirty,
-                slot=victim_slot,
+                line.address, line.payload, line.dirty, victim_slot
             )
             del self._index[line.address]
         self._index[address] = victim_slot
@@ -190,12 +187,7 @@ class SetAssociativeCache:
         if slot is None:
             return None
         line = self._lines[slot]
-        eviction = Eviction(
-            address=line.address,
-            payload=line.payload,
-            dirty=line.dirty,
-            slot=slot,
-        )
+        eviction = Eviction(line.address, line.payload, line.dirty, slot)
         del self._index[line.address]
         line.valid = False
         line.dirty = False

@@ -59,7 +59,10 @@ from repro.crypto.keys import ProcessorKeys
 from repro.errors import ReproError
 from repro.sim.engine import run_simulation
 from repro.sim.parallel import ParallelSweepExecutor
-from repro.sim.result_cache import result_cache_from_args
+from repro.sim.result_cache import (
+    cache_settings_from_args,
+    result_cache_from_args,
+)
 from repro.telemetry.runtime import RunCollector, TelemetrySpec
 from repro.traces.io import write_trace
 from repro.traces.profiles import profile, profile_names
@@ -809,6 +812,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.service import JobServer, ServiceConfig
     from repro.sim.parallel import resolve_jobs
 
+    cache_dir, cache_stamp = cache_settings_from_args(args)
     config = ServiceConfig(
         data_dir=args.data_dir,
         host=args.host,
@@ -822,10 +826,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         retry_after=args.retry_after,
         timeout=args.timeout,
         retries=args.retries,
-        cache_dir=args.cache_dir
-        or os.environ.get("REPRO_RESULT_CACHE"),
-        cache_stamp=args.cache_stamp
-        or os.environ.get("REPRO_CACHE_STAMP"),
+        cache_dir=cache_dir,
+        cache_stamp=cache_stamp,
         memory_soft_mb=args.memory_soft_mb,
         memory_hard_mb=args.memory_hard_mb,
     )

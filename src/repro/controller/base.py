@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 from repro.config import CounterRecoveryKind, SystemConfig, TreeKind
 from repro.controller.access import MemoryRequest, Op
 from repro.crypto.ctr import CounterModeEngine
-from repro.crypto.hashes import mac56
+from repro.crypto.hashes import MAC56_MASK, keyed_proto, proto_int
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import IntegrityError
 from repro.mem.ecc import ECC_BYTES, SecdedCodec
@@ -64,6 +64,8 @@ class SecureMemoryController(abc.ABC):
             pad_memo_entries=config.encryption.pad_memo_entries,
         )
         self.ecc_codec = SecdedCodec()
+        #: Pre-keyed data-MAC state (see :func:`keyed_proto`).
+        self.mac_proto = keyed_proto(self.keys.mac_key)
 
         self._data_reads = self.stats.counter("data_reads")
         self._data_writes = self.stats.counter("data_writes")
@@ -178,7 +180,7 @@ class SecureMemoryController(abc.ABC):
             + minor.to_bytes(8, "little")
             + plaintext
         )
-        return mac56(self.keys.mac_key, payload)
+        return proto_int(self.mac_proto, payload) & MAC56_MASK
 
     def _line_counter(self, major: int, minor: int) -> int:
         """The per-line counter value: the minor for split-counter

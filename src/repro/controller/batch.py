@@ -50,7 +50,6 @@ DESIGN.md).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional
 
 from repro.config import (
@@ -62,6 +61,7 @@ from repro.config import (
 from repro.controller.base import SIDEBAND_BYTES
 from repro.controller.bonsai import BonsaiController
 from repro.counters.split import SplitCounterBlock
+from repro.crypto.hashes import MAC56_MASK
 from repro.integrity.geometry import path_to_root
 from repro.telemetry.runtime import live_tracer
 from repro.util.bitops import mask
@@ -70,7 +70,6 @@ from repro.util.bitops import mask
 #: passes, small enough that residency snapshots stay useful.
 DEFAULT_CHUNK = 4096
 
-_MAC56_MASK = mask(56)
 _MINOR_MAX = mask(SplitCounterBlock.minor_bits)
 
 
@@ -184,14 +183,9 @@ def run_batched_range(
     encryption = controller.config.encryption
     phase_recovery = encryption.counter_recovery == CounterRecoveryKind.PHASE
     phase_mask = mask(encryption.phase_bits) if phase_recovery else 0
-    mac_key = controller.keys.mac_key
-    enc_key = controller.ctr_engine._key
-    # Pre-keyed hash prototypes: .copy() restores the keyed state
-    # without re-compressing the key block on every digest.  The
-    # resulting digests are bit-identical to fresh keyed constructions.
-    proto_mac = hashlib.blake2b(key=mac_key, digest_size=8)
-    proto_line = hashlib.blake2b(key=enc_key, digest_size=64)
-    proto_side = hashlib.blake2b(key=enc_key, digest_size=SIDEBAND_BYTES)
+    proto_mac = controller.mac_proto
+    proto_line = controller.ctr_engine.pad_proto
+    proto_side = controller.ctr_engine.ecc_pad_proto(SIDEBAND_BYTES)
     int_from = int.from_bytes
     encode_line = controller.ecc_codec.encode_line
     encode_lines = controller.ecc_codec.encode_lines
@@ -481,7 +475,7 @@ def run_batched_range(
                 )
                 digest = proto_mac.copy()
                 digest.update(iv + blob)
-                mac = int_from(digest.digest(), "little") & _MAC56_MASK
+                mac = int_from(digest.digest(), "little") & MAC56_MASK
                 digest = proto_line.copy()
                 digest.update(iv)
                 cipher = (

@@ -36,7 +36,7 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.cache.sa_cache import Eviction
-from repro.config import SchemeKind, SystemConfig, UpdatePolicy
+from repro.config import BLOCK_SIZE, SchemeKind, SystemConfig, UpdatePolicy
 from repro.controller.base import SecureMemoryController
 from repro.counters.split import SplitCounterBlock
 from repro.crypto.keys import ProcessorKeys
@@ -238,7 +238,7 @@ class BonsaiController(SecureMemoryController):
         self._drain_evictions()
         self._flush_pending_eviction(counter_address)
         raw, _ = self.read_block(counter_address)
-        self._meta_fetches.add()
+        self._meta_fetches.value += 1
         self._verify_chain(counter_address, raw)
         block = SplitCounterBlock.from_bytes(raw)
         slot, eviction = self.counter_cache.fill(counter_address, block)
@@ -257,7 +257,7 @@ class BonsaiController(SecureMemoryController):
         self._drain_evictions()
         self._flush_pending_eviction(node_address)
         raw, _ = self.read_block(node_address)
-        self._meta_fetches.add()
+        self._meta_fetches.value += 1
         self._verify_chain(node_address, raw)
         node = BonsaiNode.from_bytes(raw)
         slot, eviction = self.merkle_cache.fill(node_address, node)
@@ -275,61 +275,64 @@ class BonsaiController(SecureMemoryController):
         reached; then checks hashes top-down.  Fetched ancestors are
         inserted into the Merkle cache (§2.3.1).
         """
-        steps = path_to_root(self.layout, block_address)
-        fetched = []  # (TreePath, raw bytes), bottom-up
-        trusted_node: Optional[BonsaiNode] = None
-        trusted_slot = 0
-        for step in steps[1:]:
-            if step.address is None:
+        # Parents by arithmetic on (level, index), not path_to_root:
+        # the walk usually stops one or two levels up.
+        layout = self.layout
+        bounds = layout.level_bounds
+        arity = layout.arity
+        root_level = layout.root_level
+        cache = self.merkle_cache
+        level, index = layout.locate_node(block_address)
+        # (address, the slot of the block below it, raw), bottom-up
+        chain = [(block_address, None, block_bytes)]
+        while True:
+            child_slot = index % arity
+            level += 1
+            index //= arity
+            if level == root_level:
                 trusted_node = self.engine.root_node
-                trusted_slot = step.child_slot
                 break
-            cached = self.merkle_cache.peek(step.address)
-            if cached is not None:
-                trusted_node = cached
-                trusted_slot = step.child_slot
+            address = bounds[level] + index * BLOCK_SIZE
+            trusted_node = cache.peek(address)
+            if trusted_node is not None:
                 break
             # An ancestor whose dirty eviction is still queued must be
             # written back first, or we would read (and then trust) its
             # stale memory copy.
-            self._flush_pending_eviction(step.address)
-            cached = self.merkle_cache.peek(step.address)
-            if cached is not None:
-                trusted_node = cached
-                trusted_slot = step.child_slot
+            self._flush_pending_eviction(address)
+            trusted_node = cache.peek(address)
+            if trusted_node is not None:
                 break
-            raw, _ = self.read_block(step.address)
-            self._meta_fetches.add()
-            fetched.append((step, raw))
+            raw, _ = self.read_block(address)
+            self._meta_fetches.value += 1
+            chain.append((address, child_slot, raw))
 
-        assert trusted_node is not None
         # Verify top-down: the trusted node vouches for the highest
         # fetched block, each fetched node vouches for the one below it,
         # and the lowest vouches for the block being verified.
-        chain = [(None, block_bytes)] + fetched
         parent_node = trusted_node
-        parent_slot = trusted_slot
-        verified = []  # (TreePath, BonsaiNode), top-down
-        for step, raw in reversed(chain):
-            self._integrity_checks.add()
+        parent_slot = child_slot
+        verified = []  # (address, BonsaiNode), top-down
+        block_hash = self.engine.block_hash
+        for address, slot, raw in reversed(chain):
+            self._integrity_checks.value += 1
             self.channel.hash_latency(1)
-            if parent_node.child_hash(parent_slot) != self.engine.block_hash(raw):
-                where = step.address if step is not None else block_address
+            if parent_node.child_hash(parent_slot) != block_hash(raw):
                 raise IntegrityError(
-                    f"Merkle verification failed for block {where:#x}"
+                    f"Merkle verification failed for block {address:#x}"
                 )
-            if step is not None:
+            if slot is not None:
                 parent_node = BonsaiNode.from_bytes(raw)
-                parent_slot = step.child_slot
-                verified.append((step, parent_node))
+                parent_slot = slot
+                verified.append((address, parent_node))
             # the last iteration verified `block_bytes`; nothing below it
 
         # Insert the now-verified ancestors, parsed once above (top-down
         # so lower nodes are the most recently used).
-        for step, node in verified:
-            if not self.merkle_cache.contains(step.address):
-                slot, eviction = self.merkle_cache.fill(step.address, node)
-                self._on_merkle_filled(slot, step.address)
+        for address, node in verified:
+            if not cache.contains(address):
+                slot, eviction = cache.fill(address, node)
+                self._on_merkle_filled(slot, address)
                 if eviction is not None:
                     self._evictions.append(("merkle", eviction))
 

@@ -33,7 +33,7 @@ from typing import Deque, Optional
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.cache.sa_cache import Eviction
-from repro.config import CacheConfig, SchemeKind, SystemConfig
+from repro.config import BLOCK_SIZE, CacheConfig, SchemeKind, SystemConfig
 from repro.controller.base import SecureMemoryController
 from repro.counters.sgx import SgxCounterBlock
 from repro.crypto.keys import ProcessorKeys
@@ -224,20 +224,26 @@ class SgxController(SecureMemoryController):
             return record
         arity = layout.arity
         top_level = layout.root_level - 1
+        bounds = layout.level_bounds
+        evictions = self._evictions
+        level, index = layout.locate_node(address)
         path = []  # (address, level, index) of each missing node, bottom-up
         while True:
-            self._flush_pending_eviction(address)
-            level, index = layout.locate_node(address)
+            if evictions:
+                self._flush_pending_eviction(address)
             path.append((address, level, index))
             if level == top_level:
                 parent_nonce = self.engine.root_nonce_for(index)
                 break
-            parent_address = layout.node_address(level + 1, index // arity)
+            parent_index = index // arity
+            parent_address = bounds[level + 1] + parent_index * BLOCK_SIZE
             parent = cache.peek(parent_address)
             if parent is not None:
                 parent_nonce = parent.node.counter(index % arity)
                 break
             address = parent_address
+            level += 1
+            index = parent_index
             cache.access(address)  # a counted miss: peek just found nothing
 
         for address, level, index in reversed(path):
@@ -247,10 +253,10 @@ class SgxController(SecureMemoryController):
             if record is not None:
                 continue
             raw, _ = self.read_block(address)
-            self._meta_fetches.add()
+            self._meta_fetches.value += 1
             node = SgxCounterBlock.from_bytes(raw)
 
-            self._integrity_checks.add()
+            self._integrity_checks.value += 1
             self.channel.hash_latency(1)
             if not self.engine.verify(node, parent_nonce):
                 raise IntegrityError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
-from repro.crypto.hashes import hash64
+from repro.crypto.hashes import keyed_proto, proto_int
 from repro.errors import ConfigError
 from repro.util.bitops import mask
 
@@ -157,6 +157,7 @@ class ShadowRegionTree:
         if num_leaves <= 0:
             raise ConfigError("shadow region tree needs leaves")
         self.key = key
+        self._proto = keyed_proto(key)
         self.num_leaves = num_leaves
         empty = self._leaf_hash(bytes(BLOCK_SIZE))
         self.levels: List[List[int]] = [[empty] * num_leaves]
@@ -174,11 +175,11 @@ class ShadowRegionTree:
             self.levels.append(level)
 
     def _leaf_hash(self, block: bytes) -> int:
-        return hash64(self.key, block)
+        return proto_int(self._proto, block)
 
     def _children_hash(self, children) -> int:
         padding = (0,) * (TREE_ARITY - len(children))
-        return hash64(self.key, _NODE_PAYLOAD.pack(*children, *padding))
+        return proto_int(self._proto, _NODE_PAYLOAD.pack(*children, *padding))
 
     def _node_hash(self, level: int, index: int) -> int:
         below = self.levels[level - 1]

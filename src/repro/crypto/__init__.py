@@ -9,7 +9,7 @@ all three at Python speed.
 """
 
 from repro.crypto.keys import ProcessorKeys
-from repro.crypto.hashes import hash64, mac56, node_hash, truncated_digest
+from repro.crypto.hashes import hash64, mac56, node_hash
 from repro.crypto.ctr import CounterModeEngine, make_iv
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "hash64",
     "mac56",
     "node_hash",
-    "truncated_digest",
     "CounterModeEngine",
     "make_iv",
 ]

@@ -19,12 +19,12 @@ hit is exact, and rewrites under a bumped counter miss by construction.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import BLOCK_SIZE
+from repro.crypto.hashes import keyed_proto, proto_int
 from repro.crypto.keys import ProcessorKeys
 
 #: Default size of the per-engine one-time-pad memo (LRU entries).  A
@@ -76,6 +76,9 @@ class CounterModeEngine:
         pad_memo_entries: int = DEFAULT_PAD_MEMO_ENTRIES,
     ) -> None:
         self._key = keys.encryption_key
+        #: Pre-keyed line-pad and per-length ECC-pad states.
+        self.pad_proto = keyed_proto(self._key, 64)
+        self._ecc_protos: Dict[int, object] = {}
         self.block_size = block_size
         self.pad_memo_entries = pad_memo_entries
         self._pad_memo: Optional[OrderedDict] = (
@@ -90,17 +93,15 @@ class CounterModeEngine:
         blocks chain counter-suffixed calls.
         """
         if self.block_size <= 64:
-            return hashlib.blake2b(
-                iv, key=self._key, digest_size=64
-            ).digest()[: self.block_size]
+            state = self.pad_proto.copy()
+            state.update(iv)
+            return state.digest()[: self.block_size]
         pad = bytearray()
         chunk_index = 0
         while len(pad) < self.block_size:
-            pad += hashlib.blake2b(
-                iv + chunk_index.to_bytes(4, "little"),
-                key=self._key,
-                digest_size=64,
-            ).digest()
+            state = self.pad_proto.copy()
+            state.update(iv + chunk_index.to_bytes(4, "little"))
+            pad += state.digest()
             chunk_index += 1
         return bytes(pad[: self.block_size])
 
@@ -140,13 +141,8 @@ class CounterModeEngine:
             if pad is not None:
                 memo.move_to_end(key)
                 return pad
-        pad = int.from_bytes(
-            hashlib.blake2b(
-                b"ecc" + make_iv(address, major, minor),
-                key=self._key,
-                digest_size=length,
-            ).digest(),
-            "little",
+        pad = proto_int(
+            self.ecc_pad_proto(length), b"ecc" + make_iv(address, major, minor)
         )
         if memo is not None:
             memo[key] = pad
@@ -154,8 +150,12 @@ class CounterModeEngine:
                 memo.popitem(last=False)
         return pad
 
-    def _xor(self, data: bytes, pad: bytes) -> bytes:
-        return xor_bytes(data, pad)
+    def ecc_pad_proto(self, length: int):
+        """The pre-keyed state of ``length``-byte ECC pads."""
+        proto = self._ecc_protos.get(length)
+        if proto is None:
+            proto = self._ecc_protos[length] = keyed_proto(self._key, length)
+        return proto
 
     def warm_pads(self, entries, ecc_length: int = 0) -> int:
         """Bulk-precompute pads for ``(address, major, minor)`` tuples.

@@ -17,11 +17,22 @@ HASH64_BYTES = 8
 
 #: Width of an SGX node MAC in bits (Fig. 9b / §4.3).
 MAC_BITS = 56
+MAC56_MASK = mask(MAC_BITS)
 
 
-def truncated_digest(key: bytes, payload: bytes, digest_size: int) -> bytes:
-    """Keyed BLAKE2b digest truncated to ``digest_size`` bytes."""
-    return hashlib.blake2b(payload, key=key, digest_size=digest_size).digest()
+def keyed_proto(key: bytes, digest_size: int = 8):
+    """A keyed BLAKE2b state to ``.copy()`` per digest: the same digest
+    as a fresh keyed construction for ~60% of its cost.  Take one at
+    construction; a per-call lookup gives back half of the saving."""
+    return hashlib.blake2b(key=key, digest_size=digest_size)
+
+
+def proto_int(proto, payload: bytes) -> int:
+    """Little-endian integer digest of ``payload`` under a prototype
+    from :func:`keyed_proto` (which is left untouched)."""
+    state = proto.copy()
+    state.update(payload)
+    return int.from_bytes(state.digest(), "little")
 
 
 def hash64(key: bytes, payload: bytes) -> int:
@@ -29,8 +40,8 @@ def hash64(key: bytes, payload: bytes) -> int:
 
     Returns an integer so callers can pack eight of them into a node.
     """
-    digest = truncated_digest(key, payload, HASH64_BYTES)
-    return int.from_bytes(digest, "little")
+    digest = hashlib.blake2b(payload, key=key, digest_size=HASH64_BYTES)
+    return int.from_bytes(digest.digest(), "little")
 
 
 def node_hash(key: bytes, node_bytes: bytes, address: int) -> int:
@@ -45,8 +56,7 @@ def node_hash(key: bytes, node_bytes: bytes, address: int) -> int:
 
 def mac56(key: bytes, payload: bytes) -> int:
     """56-bit keyed MAC used by SGX-style tree nodes and shadow entries."""
-    digest = truncated_digest(key, payload, 8)
-    return int.from_bytes(digest, "little") & mask(MAC_BITS)
+    return hash64(key, payload) & MAC56_MASK
 
 
 def sgx_node_mac(

@@ -16,12 +16,13 @@ data MACs bind the line address.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from typing import Any, Dict, List, Sequence
 
 _NODE_STRUCT = struct.Struct("<8Q")
 
 from repro.config import BLOCK_SIZE, TREE_ARITY
-from repro.crypto.hashes import hash64
+from repro.crypto.hashes import keyed_proto, proto_int
 from repro.crypto.keys import ProcessorKeys
 from repro.errors import ConfigError
 from repro.mem.layout import MemoryLayout
@@ -85,6 +86,7 @@ class BonsaiTreeEngine:
     def __init__(self, keys: ProcessorKeys, layout: MemoryLayout) -> None:
         self.keys = keys
         self.layout = layout
+        self._hash_proto = keyed_proto(keys.tree_key)
         # The live-session facade: disabled outside a telemetry
         # session, so the hot-path guard is one attribute test.
         self._tracer = live_tracer()
@@ -131,7 +133,7 @@ class BonsaiTreeEngine:
 
     def block_hash(self, block_bytes: bytes) -> int:
         """64-bit keyed hash of a 64B child block (counter block or node)."""
-        return hash64(self.keys.tree_key, block_bytes)
+        return proto_int(self._hash_proto, block_bytes)
 
     def root_value(self) -> int:
         """The root hash — the single value 'kept inside the processor'."""
@@ -144,10 +146,9 @@ class BonsaiTreeEngine:
     def default_provider(self, address: int) -> bytes:
         """NVM default-content hook: untouched tree blocks read as the
         level's default node, so a fresh system verifies end to end."""
-        for level, region in enumerate(self.layout.level_regions):
-            base = region.base
-            if base <= address < base + region.size:
-                return self._default_bytes[level]
+        bounds = self.layout.level_bounds
+        if bounds[0] <= address < bounds[-1]:
+            return self._default_bytes[bisect_right(bounds, address) - 1]
         return bytes(BLOCK_SIZE)
 
     def verify_child(

@@ -22,7 +22,7 @@ import struct
 
 from repro.config import BLOCK_SIZE
 from repro.counters.sgx import SgxCounterBlock
-from repro.crypto.hashes import mac56
+from repro.crypto.hashes import MAC56_MASK, keyed_proto, proto_int
 from repro.crypto.keys import ProcessorKeys
 from repro.mem.layout import MemoryLayout
 from repro.telemetry.runtime import live_tracer
@@ -36,6 +36,7 @@ class SgxTreeEngine:
     def __init__(self, keys: ProcessorKeys, layout: MemoryLayout) -> None:
         self.keys = keys
         self.layout = layout
+        self._mac_proto = keyed_proto(keys.tree_key)
         # The live-session facade: disabled outside a telemetry
         # session, so the hot-path guard is one attribute test.
         self._tracer = live_tracer()
@@ -55,9 +56,8 @@ class SgxTreeEngine:
     def compute_mac(self, node: SgxCounterBlock, parent_nonce: int) -> int:
         """MAC over the node's eight nonces and its parent nonce, each a
         little-endian u64."""
-        return mac56(
-            self.keys.tree_key, _MAC_INPUT.pack(*node.counters, parent_nonce)
-        )
+        payload = _MAC_INPUT.pack(*node.counters, parent_nonce)
+        return proto_int(self._mac_proto, payload) & MAC56_MASK
 
     def verify(self, node: SgxCounterBlock, parent_nonce: int) -> bool:
         """Does the node's stored MAC match its nonces + parent nonce?"""
@@ -81,10 +81,9 @@ class SgxTreeEngine:
 
     def default_provider(self, address: int) -> bytes:
         """NVM default-content hook for tree regions."""
-        for region in self.layout.level_regions:
-            base = region.base
-            if base <= address < base + region.size:
-                return self._default_bytes
+        bounds = self.layout.level_bounds
+        if bounds[0] <= address < bounds[-1]:
+            return self._default_bytes
         return bytes(BLOCK_SIZE)
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ is the *root level*, held on-chip and not stored in memory.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -125,6 +126,11 @@ class MemoryLayout:
             region = Region(f"tree_l{level}", cursor, count * BLOCK_SIZE)
             self.level_regions.append(region)
             cursor = region.end
+        #: The stored levels' bases, then the end of the last one: a
+        #: span test plus ``bisect_right`` finds an address's level.
+        self.level_bounds: List[int] = [
+            region.base for region in self.level_regions
+        ] + [cursor]
 
         shadow_bytes = metadata_cache_blocks * BLOCK_SIZE
         self.sct = Region("sct", cursor, shadow_bytes)
@@ -216,10 +222,10 @@ class MemoryLayout:
 
     def locate_node(self, address: int) -> Tuple[int, int]:
         """Inverse of :meth:`node_address`: ``(level, index)`` of a node."""
-        for level, region in enumerate(self.level_regions):
-            base = region.base
-            if base <= address < base + region.size:
-                return level, (address - base) // BLOCK_SIZE
+        bounds = self.level_bounds
+        if bounds[0] <= address < bounds[-1]:
+            level = bisect_right(bounds, address) - 1
+            return level, (address - bounds[level]) // BLOCK_SIZE
         raise LayoutError(f"address {address:#x} is not a stored tree node")
 
     def parent_of(self, level: int, index: int) -> Tuple[int, int]:

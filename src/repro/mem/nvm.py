@@ -70,10 +70,15 @@ class NvmDevice:
         Never-written blocks return their default content: zeros, or the
         installed provider's value for metadata regions.
         """
-        self._check(address)
-        self._reads.add()
+        # _check and _default, inlined: this runs on every fetch.
+        if address % BLOCK_SIZE or not 0 <= address < self.size:
+            self._check(address)
+        self._reads.value += 1
         block = self._blocks.get(address)
-        return block if block is not None else self._default(address)
+        if block is not None:
+            return block
+        provider = self.default_provider
+        return provider(address) if provider is not None else _ZERO_BLOCK
 
     def write(self, address: int, data: bytes) -> None:
         """Write a 64B block."""
@@ -171,7 +176,8 @@ class NvmDevice:
 
     def is_written(self, address: int) -> bool:
         """True if the block has ever been written."""
-        self._check(address)
+        if address % BLOCK_SIZE or not 0 <= address < self.size:
+            self._check(address)
         return address in self._blocks
 
     def written(self, start: int, stop: int) -> List[Tuple[int, bytes]]:

@@ -47,14 +47,18 @@ class MemoryChannel:
         The core blocks until the data returns, so the channel's backlog
         is exposed directly as stall time.
         """
+        now = self.now
+        busy_until = self.busy_until
+        read_ns = self.timing.nvm_read_ns
         stall = 0.0
         for _ in range(count):
-            start = max(self.now, self.busy_until)
-            done = start + self.timing.nvm_read_ns
-            self.busy_until = done
-            stall += done - self.now
-            self.now = done
-            self._reads.add()
+            done = (busy_until if busy_until > now else now) + read_ns
+            stall += done - now
+            now = busy_until = done
+        self.now = now
+        self.busy_until = busy_until
+        if count > 0:
+            self._reads.value += count
         self._read_stall.observe(stall)
         return stall
 

@@ -459,14 +459,23 @@ def resolve_cache_stamp(stamp: Optional[str]) -> Optional[str]:
     return derived
 
 
-def result_cache_from_args(args) -> Optional[ResultCache]:
-    """The run's result cache from ``--cache-dir``/``--no-result-cache``
+def cache_settings_from_args(args) -> Tuple[Optional[str], Optional[str]]:
+    """``(directory, stamp)`` from ``--cache-dir``/``--no-result-cache``
     /``--cache-stamp``, falling back to ``$REPRO_RESULT_CACHE`` and
-    ``$REPRO_CACHE_STAMP``; None when no store is configured."""
+    ``$REPRO_CACHE_STAMP``.  The directory is None when no store is
+    configured; the stamp is not yet resolved (see
+    :func:`resolve_cache_stamp`)."""
     if args.no_result_cache:
-        return None
+        return None, None
     directory = args.cache_dir or os.environ.get("REPRO_RESULT_CACHE")
-    if not directory:
+    stamp = args.cache_stamp or os.environ.get("REPRO_CACHE_STAMP")
+    return directory or None, stamp or None
+
+
+def result_cache_from_args(args) -> Optional[ResultCache]:
+    """The run's result cache (see :func:`cache_settings_from_args`);
+    None when no store is configured."""
+    directory, stamp = cache_settings_from_args(args)
+    if directory is None:
         return None
-    stamp = args.cache_stamp or os.environ.get("REPRO_CACHE_STAMP") or None
     return ResultCache(directory, code_stamp=resolve_cache_stamp(stamp))

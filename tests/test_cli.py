@@ -193,3 +193,65 @@ class TestFaultsResume:
             str(victim / "campaign.json"), kind="fault-campaign"
         )
         assert len(payload["trials"]) == 8
+
+
+class TestServeCacheSettings:
+    """``repro serve`` resolves its result cache like every other
+    command: ``--no-result-cache`` beats ``--cache-dir`` and
+    ``$REPRO_RESULT_CACHE``."""
+
+    @staticmethod
+    def _served_config(monkeypatch, tmp_path, *flags):
+        import repro.service
+
+        seen = []
+
+        class RecordingServer:
+            port = 0
+            generation = 0
+
+            def __init__(self, config):
+                seen.append(config)
+
+            async def start(self):
+                pass
+
+            def request_stop(self):
+                pass
+
+            async def wait_stopped(self):
+                pass
+
+        monkeypatch.setattr(repro.service, "JobServer", RecordingServer)
+        data_dir = str(tmp_path / "data")
+        argv = ["serve", "--data-dir", data_dir, "--port", "0", *flags]
+        assert main(argv) == 0
+        (config,) = seen
+        return config
+
+    def test_no_result_cache_beats_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_CACHE_STAMP", "rev1")
+        config = self._served_config(
+            monkeypatch, tmp_path, "--no-result-cache"
+        )
+        assert config.cache_dir is None
+        assert config.cache_stamp is None
+        flagged = self._served_config(
+            monkeypatch,
+            tmp_path,
+            "--cache-dir",
+            str(tmp_path / "flag"),
+            "--no-result-cache",
+        )
+        assert flagged.cache_dir is None
+
+    def test_environment_fallback(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_CACHE_STAMP", "rev1")
+        config = self._served_config(monkeypatch, tmp_path)
+        assert config.cache_dir == str(tmp_path / "store")
+        assert config.cache_stamp == "rev1"
+        monkeypatch.delenv("REPRO_RESULT_CACHE")
+        monkeypatch.delenv("REPRO_CACHE_STAMP")
+        assert self._served_config(monkeypatch, tmp_path).cache_dir is None
